@@ -9,93 +9,18 @@ eigenspace combinations on refining grids.
 
 __version__ = "0.1.0"
 
-from .spectrum import (
-    CUBE,
-    BoxSpec,
-    EigenvalueGroup,
-    ModeTriple,
-    counting_function,
-    enumerate_groups,
-    product_nodal_count,
-)
-from .bounds import (
-    FABER_KRAHN_RATIO,
-    ScreeningRecord,
-    faber_krahn_threshold,
-    lattice_lower_bound,
-    pleijel_asymptotic_ratio,
-    pleijel_cutoff,
-    screen_candidates,
-)
-from .symmetry import (
-    Parity,
-    SymmetricIndex,
-    eigenspace_parity,
-    group_parity,
-    symmetric_index,
-    symmetry_excludes,
-)
-from .quadric import (
-    ComponentPrediction,
-    QuadricClass,
-    QuadricCoeffs,
-    boundary_distance,
-    classify,
-    predict_components,
-    reduce_to_quadric,
-)
-from .nodal import (
-    RESOLUTION_CAP,
-    EigenCombo,
-    NodalCount,
-    ScalarGrid,
-    SweepResult,
-    SweepSample,
-    count_components,
-    count_nodal_domains,
-    sample_field,
-    sphere_samples,
-    sweep_eigenspace,
-)
+from . import bounds, nodal, quadric, spectrum, symmetry
+from .bounds import *  # noqa: F401,F403
+from .nodal import *  # noqa: F401,F403
+from .quadric import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
+from .symmetry import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "CUBE",
-    "BoxSpec",
-    "EigenvalueGroup",
-    "ModeTriple",
-    "counting_function",
-    "enumerate_groups",
-    "product_nodal_count",
-    "FABER_KRAHN_RATIO",
-    "ScreeningRecord",
-    "faber_krahn_threshold",
-    "lattice_lower_bound",
-    "pleijel_asymptotic_ratio",
-    "pleijel_cutoff",
-    "screen_candidates",
-    "Parity",
-    "SymmetricIndex",
-    "eigenspace_parity",
-    "group_parity",
-    "symmetric_index",
-    "symmetry_excludes",
-    "ComponentPrediction",
-    "QuadricClass",
-    "QuadricCoeffs",
-    "boundary_distance",
-    "classify",
-    "predict_components",
-    "reduce_to_quadric",
-    "RESOLUTION_CAP",
-    "EigenCombo",
-    "NodalCount",
-    "ScalarGrid",
-    "SweepResult",
-    "SweepSample",
-    "count_components",
-    "count_nodal_domains",
-    "sample_field",
-    "sphere_samples",
-    "sweep_eigenspace",
+    *spectrum.__all__,
+    *bounds.__all__,
+    *symmetry.__all__,
+    *quadric.__all__,
+    *nodal.__all__,
 ]

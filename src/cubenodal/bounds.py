@@ -104,11 +104,6 @@ class ScreeningRecord:
     group: EigenvalueGroup
     ratio: float
     fk_pass: bool
-    simple_start: bool
-
-    @property
-    def candidate(self) -> bool:
-        return self.fk_pass
 
 
 def screen_candidates(box: BoxSpec, lambda_max: float) -> list[ScreeningRecord]:
@@ -118,12 +113,11 @@ def screen_candidates(box: BoxSpec, lambda_max: float) -> list[ScreeningRecord]:
     range; on the cube, lambda_max = 48 already contains every group that can
     survive.
     """
-    records: list[ScreeningRecord] = []
-    prev_value = None
-    for group in enumerate_groups(box, lambda_max):
-        ratio = group.value**1.5 / group.k_min
-        fk = faber_krahn_threshold(group.value, group.k_min)
-        simple = prev_value is None or prev_value < group.value
-        records.append(ScreeningRecord(group, ratio, fk, simple))
-        prev_value = group.value
-    return records
+    return [
+        ScreeningRecord(
+            group,
+            group.value**1.5 / group.k_min,
+            faber_krahn_threshold(group.value, group.k_min),
+        )
+        for group in enumerate_groups(box, lambda_max)
+    ]

@@ -1,7 +1,8 @@
 """Command-line reports: eigenvalue table, screening, sweep, nodal probe, verdict.
 
 Exit codes: 0 clean, 1 usage or input error, 2 completed with warnings
-(non-converged nodal counts).  Reports go to stdout unless --out is given.
+(non-converged or unconfirmed nodal counts).  Reports go to stdout unless
+--out is given.
 """
 
 from __future__ import annotations
@@ -11,33 +12,20 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from operator import itemgetter
 
 from . import __version__
-from .bounds import (
-    FABER_KRAHN_RATIO,
-    pleijel_cutoff,
-    screen_candidates,
-)
-from .nodal import (
-    RESOLUTION_CAP,
-    EigenCombo,
-    NodalCount,
-    count_nodal_domains,
-    sweep_eigenspace,
-)
-from .spectrum import CUBE, BoxSpec, ModeTriple, enumerate_groups
-from .symmetry import group_parity, symmetric_index, symmetry_excludes
+from .bounds import FABER_KRAHN_RATIO, pleijel_cutoff, screen_candidates
+from .nodal import RESOLUTION_CAP, EigenCombo, count_nodal_domains, sweep_eigenspace
+from .spectrum import CUBE, BoxSpec, EigenvalueGroup, ModeTriple, enumerate_groups
+from .spectrum import product_nodal_count
+from .symmetry import group_parity, symmetric_index
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WARNINGS = 2
 
 FORMATS = ("md", "csv", "json")
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,42 +36,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class ReportConfig:
-    lambda_max: float = 48.0
-    fmt: str = "md"
-    resolution: int = 128
-    sweep_samples: int = 500
-    seed: int = 0
-    box: BoxSpec = CUBE
-    cap: int = RESOLUTION_CAP
-    out: str | None = None
+def _triple(kind, cast):
+    """argparse type for a comma-separated triple, e.g. a box or a mode."""
 
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise UsageError(f"unknown format {self.fmt!r}")
-        if self.lambda_max < 3:
-            raise UsageError("lambda-max must be at least 3")
+    def parse(text: str):
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected three comma-separated values: {text!r}")
+        try:
+            return kind(*(cast(p) for p in parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_box(text: str) -> BoxSpec:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("box must be three comma-separated weights")
-    try:
-        return BoxSpec(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_mode(text: str) -> ModeTriple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("mode must be l,m,n")
-    try:
-        return ModeTriple(*(int(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _lambda_max(text: str) -> float:
+    value = float(text)
+    if not value >= 3:
+        raise argparse.ArgumentTypeError("lambda-max must be at least 3")
+    return value
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
@@ -104,96 +76,139 @@ def _format_k_range(k_min: int, k_max: int) -> str:
 
 
 def _format_reps(reps) -> str:
-    return " & ".join("(%d,%d,%d)" % rep for rep in reps)
+    return " & ".join("(%d,%d,%d)" % tuple(rep) for rep in reps)
+
+
+def _format_ks(ks) -> str:
+    return ", ".join(str(k) for k in ks)
+
+
+def _format_optional(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
+def _yes_no(key: str):
+    return lambda r: "yes" if r[key] else "no"
+
+
+def _cube_group(value: float) -> EigenvalueGroup:
+    """The cube's eigenvalue group at exactly ``value``."""
+    group = next((g for g in enumerate_groups(CUBE, value) if g.value == value), None)
+    if group is None:
+        raise ValueError(f"{value} is not a cube eigenvalue")
+    return group
 
 
 # ---------------------------------------------------------------------------
-# table
+# rendering
 
-def build_table(box: BoxSpec, lambda_max: float) -> list[dict]:
-    rows = []
-    for group in enumerate_groups(box, lambda_max):
-        rows.append(
-            {
-                "value": group.value,
-                "k_min": group.k_min,
-                "k_max": group.k_max,
-                "multiplicity": group.multiplicity,
-                "representatives": [list(r) for r in group.representatives()],
-                "modes": [list(m.as_tuple()) for m in group.modes],
-            }
-        )
-    return rows
+def _render(data: dict, fmt: str, records=(), columns=None, head=(), tail=()) -> str:
+    """Render one report: json as ``data`` whole, csv and md from its records.
 
-
-def render_table(rows: list[dict], box: BoxSpec, lambda_max: float, fmt: str) -> str:
+    ``columns`` maps a format to its ``(header, cell)`` pairs, where ``cell``
+    takes a record to its value.  csv writes one row per record under the
+    headers; md writes the ``head`` lines, a table of the records if it has
+    md columns, then the ``tail`` lines.
+    """
     if fmt == "json":
-        return _json_text(
-            {
-                "schema": 1,
-                "command": "table",
-                "box": [box.alpha, box.beta, box.gamma],
-                "lambda_max": lambda_max,
-                "groups": rows,
-            }
-        )
+        return json.dumps(data, indent=2) + "\n"
+    columns = columns or {}
+    if fmt != "md" and fmt not in columns:
+        raise ValueError(f"this report has no {fmt} form")
+    cols = columns.get(fmt, ())
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k_min", "k_max", "eigenvalue", "multiplicity", "modes"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["k_min"],
-                    row["k_max"],
-                    _format_value(row["value"]),
-                    row["multiplicity"],
-                    _format_reps(tuple(tuple(r) for r in row["representatives"])),
-                ]
-            )
+        writer.writerow([header for header, _ in cols])
+        writer.writerows([cell(r) for _, cell in cols] for r in records)
         return buf.getvalue()
-    lines = ["| k | (l,m,n) | eigenvalue |", "|---|---------|------------|"]
-    for row in rows:
-        lines.append(
-            "| %s | %s | %s |"
-            % (
-                _format_k_range(row["k_min"], row["k_max"]),
-                _format_reps(tuple(tuple(r) for r in row["representatives"])),
-                _format_value(row["value"]),
-            )
-        )
+    lines = list(head)
+    if cols:
+        lines.append("| " + " | ".join(header for header, _ in cols) + " |")
+        lines.append("|" + "|".join("-" * (len(header) + 2) for header, _ in cols) + "|")
+        for r in records:
+            lines.append("| " + " | ".join(str(cell(r)) for _, cell in cols) + " |")
+    lines.extend(tail)
     return "\n".join(lines) + "\n"
+
+
+TABLE_COLUMNS = {
+    "csv": [
+        ("k_min", itemgetter("k_min")),
+        ("k_max", itemgetter("k_max")),
+        ("eigenvalue", lambda r: _format_value(r["value"])),
+        ("multiplicity", itemgetter("multiplicity")),
+        ("modes", lambda r: _format_reps(r["representatives"])),
+    ],
+    "md": [
+        ("k", lambda r: _format_k_range(r["k_min"], r["k_max"])),
+        ("(l,m,n)", lambda r: _format_reps(r["representatives"])),
+        ("eigenvalue", lambda r: _format_value(r["value"])),
+    ],
+}
+
+SCREEN_COLUMNS = {
+    "csv": [
+        ("eigenvalue", lambda r: _format_value(r["value"])),
+        ("k_min", itemgetter("k_min")),
+        ("ratio", lambda r: f"{r['ratio']:.4f}"),
+        ("candidate", itemgetter("candidate")),
+        ("parity", itemgetter("parity")),
+        ("j", itemgetter("j")),
+        ("bound", itemgetter("bound")),
+        ("symmetry_excluded", itemgetter("symmetry_excluded")),
+        ("survives", itemgetter("survives")),
+    ],
+    "md": [
+        ("eigenvalue", lambda r: _format_value(r["value"])),
+        ("k", lambda r: _format_k_range(r["k_min"], r["k_max"])),
+        ("ratio", lambda r: f"{r['ratio']:.4f}"),
+        ("candidate", _yes_no("candidate")),
+        ("parity", itemgetter("parity")),
+        ("j", itemgetter("j")),
+        ("2j", itemgetter("bound")),
+        ("excluded by symmetry", _yes_no("symmetry_excluded")),
+    ],
+}
+
+SWEEP_COLUMNS = {
+    "csv": [
+        ("index", itemgetter("index")),
+        ("total", itemgetter("total")),
+        ("converged", itemgetter("converged")),
+        ("resolution_used", itemgetter("resolution_used")),
+        ("predicted", itemgetter("predicted")),
+        ("boundary_distance", lambda r: _format_optional(r["boundary_distance"], ".6f")),
+        ("coeffs", lambda r: " ".join(f"{c!r}" for c in r["coeffs"])),
+    ],
+}
 
 
 # ---------------------------------------------------------------------------
 # screen
 
 def build_screen(box: BoxSpec, lambda_max: float) -> dict:
+    """Faber-Krahn and antipodal-symmetry screening; both hold only on the cube."""
+    if not box.is_cube:
+        raise ValueError("the screen's Faber-Krahn ratio and cutoff hold only on the cube")
     mu_root, lambda_cutoff = pleijel_cutoff()
     records = []
-    candidates = []
-    survivors = []
     for rec in screen_candidates(box, lambda_max):
         group = rec.group
         parity = group_parity(group)
         si = symmetric_index(box, group.value, parity)
-        excluded = symmetry_excludes(box, group)
-        if rec.candidate:
-            candidates.append(group.k_min)
-            if not excluded:
-                survivors.append(group.k_min)
         records.append(
             {
                 "value": group.value,
                 "k_min": group.k_min,
                 "k_max": group.k_max,
                 "ratio": rec.ratio,
-                "candidate": rec.candidate,
+                "candidate": rec.fk_pass,
                 "parity": parity.value,
                 "j": si.j,
                 "bound": si.bound,
-                "symmetry_excluded": excluded,
-                "survives": rec.candidate and not excluded,
+                "symmetry_excluded": si.excludes,
+                "survives": rec.fk_pass and not si.excludes,
             }
         )
     return {
@@ -205,173 +220,96 @@ def build_screen(box: BoxSpec, lambda_max: float) -> dict:
         "lambda_cutoff": lambda_cutoff,
         "fk_ratio": FABER_KRAHN_RATIO,
         "records": records,
-        "candidates": candidates,
-        "survivors": survivors,
+        "candidates": [r["k_min"] for r in records if r["candidate"]],
+        "survivors": [r["k_min"] for r in records if r["survives"]],
     }
 
 
+def _screen_summary(data: dict) -> list[str]:
+    return [
+        "Candidates (Faber-Krahn at k_min): k = " + _format_ks(data["candidates"]),
+        "Surviving after symmetry: k = " + _format_ks(data["survivors"]),
+    ]
+
+
 def render_screen(data: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(data)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "eigenvalue",
-                "k_min",
-                "ratio",
-                "candidate",
-                "parity",
-                "j",
-                "bound",
-                "symmetry_excluded",
-                "survives",
-            ]
-        )
-        for r in data["records"]:
-            writer.writerow(
-                [
-                    _format_value(r["value"]),
-                    r["k_min"],
-                    f"{r['ratio']:.4f}",
-                    r["candidate"],
-                    r["parity"],
-                    r["j"],
-                    r["bound"],
-                    r["symmetry_excluded"],
-                    r["survives"],
-                ]
-            )
-        return buf.getvalue()
-    lines = [
+    head = [
         f"Cutoff: mu root = {data['mu_root']:.5f}, Courant-sharp eigenvalues need "
         f"lambda < {data['lambda_cutoff']:.1f}",
         f"Faber-Krahn survival: lambda^(3/2) / k_min >= {data['fk_ratio']:.4f}",
         "",
-        "| eigenvalue | k | ratio | candidate | parity | j | 2j | excluded by symmetry |",
-        "|------------|---|-------|-----------|--------|---|----|----------------------|",
     ]
-    for r in data["records"]:
-        lines.append(
-            "| %s | %s | %.4f | %s | %s | %d | %d | %s |"
-            % (
-                _format_value(r["value"]),
-                _format_k_range(r["k_min"], r["k_max"]),
-                r["ratio"],
-                "yes" if r["candidate"] else "no",
-                r["parity"],
-                r["j"],
-                r["bound"],
-                "yes" if r["symmetry_excluded"] else "no",
-            )
-        )
-    lines.append("")
-    lines.append(
-        "Candidates (Faber-Krahn at k_min): k = "
-        + ", ".join(str(k) for k in data["candidates"])
-    )
-    lines.append(
-        "Surviving after symmetry: k = " + ", ".join(str(k) for k in data["survivors"])
-    )
-    return "\n".join(lines) + "\n"
+    tail = ["", *_screen_summary(data)]
+    return _render(data, fmt, data["records"], SCREEN_COLUMNS, head, tail)
 
 
 # ---------------------------------------------------------------------------
 # verdict
 
-def _count_to_dict(count: NodalCount) -> dict:
-    return {
-        "positive_components": count.positive_components,
-        "negative_components": count.negative_components,
-        "total": count.total,
-        "zero_samples": count.zero_samples,
-        "resolution_used": count.resolution_used,
-        "converged": count.converged,
-    }
+def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, cap: int) -> dict:
+    """Settle every survivor of the cube's screen.
 
-
-def build_verdict(config: ReportConfig) -> tuple[dict, list[str]]:
-    box = CUBE
-    screen = build_screen(box, config.lambda_max)
-    groups = {g.k_min: g for g in enumerate_groups(box, config.lambda_max)}
+    A survivor is sharp if a product mode of its group has l*m*n = k_min and
+    its grid count confirms it (the witness).  Any other survivor is swept and
+    excluded if no sample reaches k_min and the quadric predictor agrees.
+    """
+    screen = build_screen(CUBE, lambda_max)
     warnings: list[str] = []
     sharp: list[dict] = []
     unresolved: list[int] = []
     sweep_report = None
 
-    for k in screen["survivors"]:
-        group = groups[k]
-        if group.k_min == 1:
-            count = count_nodal_domains(EigenCombo(group, (1.0,)), 16, config.cap)
-            entry = {"k": 1, "value": group.value, "nodal_domains": count.total}
-            if count.total == 1:
-                sharp.append(entry)
+    for rec in screen["records"]:
+        if not rec["survives"]:
+            continue
+        k, group = rec["k_min"], _cube_group(rec["value"])
+        witness = next((m for m in group.modes if product_nodal_count(m) == k), None)
+        if witness is not None:
+            coeffs = tuple(float(m == witness) for m in group.modes)
+            count = count_nodal_domains(EigenCombo(group, coeffs), 16, cap)
+            if count.converged and count.total == k:
+                sharp.append({"k": k, "value": group.value, "nodal_domains": count.total})
             else:
                 unresolved.append(k)
+                warnings.append(
+                    f"witness {witness.as_tuple()} of k={k} counted {count.total} nodal "
+                    f"domain(s) at resolution {count.resolution_used}, converged={count.converged}"
+                )
             continue
-        if group.multiplicity >= 1 and group.k_min == 2:
-            # The first excited eigenvalue: one product mode already attains
-            # k_min nodal domains.
-            coeffs = tuple(
-                1.0 if i == 0 else 0.0 for i in range(group.multiplicity)
-            )
-            count = count_nodal_domains(EigenCombo(group, coeffs), 16, config.cap)
-            entry = {"k": 2, "value": group.value, "nodal_domains": count.total}
-            if count.total == group.k_min:
-                sharp.append(entry)
-            else:
-                unresolved.append(k)
-            continue
-        # Remaining survivor: sweep its eigenspace and compare with the
-        # quadric predictor.
-        result = sweep_eigenspace(
-            group,
-            config.sweep_samples,
-            config.resolution,
-            seed=config.seed,
-            cap=config.cap,
-        )
+        result = sweep_eigenspace(group, samples, resolution, seed=seed, cap=cap)
         histogram = result.histogram
         max_total = max(histogram)
-        checked = mismatches = skipped = 0
-        for s in result.samples:
-            if s.predicted is None:
-                continue
-            if s.boundary_distance is not None and s.boundary_distance <= 1e-2:
-                skipped += 1
-                continue
-            checked += 1
-            if s.predicted.count != s.count.total:
-                mismatches += 1
+        # Samples within 1e-2 of a subcase boundary are too fragile to check.
+        predicted = [s for s in result.samples if s.predicted is not None]
+        checked = [s for s in predicted if s.boundary_distance > 1e-2]
+        mismatches = sum(s.predicted.count != s.count.total for s in checked)
         for idx in result.non_converged:
             warnings.append(
                 f"sweep sample {idx} of eigenvalue {_format_value(group.value)} "
-                f"did not converge by resolution {config.cap}"
+                f"did not converge by resolution {cap}"
             )
-        predictor_ok = mismatches == 0
-        excluded = max_total < group.k_min and predictor_ok
+        excluded = max_total < k and mismatches == 0
         sweep_report = {
             "value": group.value,
-            "k_min": group.k_min,
+            "k_min": k,
             "samples": result.n_samples,
             "resolution": result.n0,
             "seed": result.seed,
-            "histogram": {str(k_): v for k_, v in histogram.items()},
+            "histogram": {str(t): v for t, v in histogram.items()},
             "max_total": max_total,
-            "predictor_checked": checked,
+            "predictor_checked": len(checked),
             "predictor_mismatches": mismatches,
-            "boundary_skipped": skipped,
+            "boundary_skipped": len(predicted) - len(checked),
             "non_converged": list(result.non_converged),
             "courant_sharp": not excluded,
         }
         if not excluded:
             unresolved.append(k)
 
-    report = {
+    return {
         "schema": 1,
         "command": "verdict",
-        "lambda_max": config.lambda_max,
+        "lambda_max": lambda_max,
         "screen": screen,
         "sharp": sharp,
         "eigenspace_sweep": sweep_report,
@@ -379,21 +317,10 @@ def build_verdict(config: ReportConfig) -> tuple[dict, list[str]]:
         "courant_sharp": [e["k"] for e in sharp],
         "warnings": warnings,
     }
-    return report, warnings
 
 
 def render_verdict(data: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(data)
-    lines = []
-    screen = data["screen"]
-    lines.append(
-        "Candidates (Faber-Krahn at k_min): k = "
-        + ", ".join(str(k) for k in screen["candidates"])
-    )
-    lines.append(
-        "Surviving after symmetry: k = " + ", ".join(str(k) for k in screen["survivors"])
-    )
+    lines = _screen_summary(data["screen"])
     for entry in data["sharp"]:
         lines.append(
             f"k={entry['k']} (lambda={_format_value(entry['value'])}): "
@@ -402,105 +329,114 @@ def render_verdict(data: dict, fmt: str) -> str:
     sweep = data["eigenspace_sweep"]
     if sweep is not None:
         hist = ", ".join(f"{k}: {v}" for k, v in sweep["histogram"].items())
-        lines.append(
+        agreed = sweep["predictor_checked"] - sweep["predictor_mismatches"]
+        verdict = "NOT excluded (unexpected)" if sweep["courant_sharp"] else "not Courant sharp"
+        lines += [
             f"Eigenspace sweep at lambda={_format_value(sweep['value'])} "
             f"(k_min={sweep['k_min']}, {sweep['samples']} samples, "
-            f"resolution {sweep['resolution']}, seed {sweep['seed']}):"
-        )
-        lines.append(f"  nodal-domain histogram: {{{hist}}}")
-        lines.append(
-            f"  predictor agreement: {sweep['predictor_checked'] - sweep['predictor_mismatches']}"
-            f"/{sweep['predictor_checked']} checked "
-            f"({sweep['boundary_skipped']} near-boundary samples skipped)"
-        )
-        verdict = (
-            "not Courant sharp"
-            if not sweep["courant_sharp"]
-            else "NOT excluded (unexpected)"
-        )
-        lines.append(
+            f"resolution {sweep['resolution']}, seed {sweep['seed']}):",
+            f"  nodal-domain histogram: {{{hist}}}",
+            f"  predictor agreement: {agreed}/{sweep['predictor_checked']} checked "
+            f"({sweep['boundary_skipped']} near-boundary samples skipped)",
             f"  max count {sweep['max_total']} < k_min {sweep['k_min']}: "
-            f"lambda={_format_value(sweep['value'])} is {verdict}"
-        )
+            f"lambda={_format_value(sweep['value'])} is {verdict}",
+        ]
     if data["unresolved"]:
-        lines.append(
-            "Unresolved candidates: k = "
-            + ", ".join(str(k) for k in data["unresolved"])
-        )
+        lines.append("Unresolved candidates: k = " + _format_ks(data["unresolved"]))
     lines.append(
         "Courant sharp: "
-        + ", ".join(
-            f"k={e['k']} (lambda={_format_value(e['value'])})" for e in data["sharp"]
-        )
+        + ", ".join(f"k={e['k']} (lambda={_format_value(e['value'])})" for e in data["sharp"])
     )
     if data["warnings"]:
-        lines.append("")
-        lines.append("Warnings:")
-        for w in data["warnings"]:
-            lines.append(f"  - {w}")
-    return "\n".join(lines) + "\n"
+        lines += ["", "Warnings:", *(f"  - {w}" for w in data["warnings"])]
+    return _render(data, fmt, head=lines)
 
 
 # ---------------------------------------------------------------------------
-# nodal + sweep
+# commands: each takes the parsed arguments and returns (report, exit code)
 
-def build_nodal(
-    modes: list[ModeTriple], coeffs: tuple[float, ...], resolution: int, cap: int
-) -> dict:
+def _run_table(args) -> tuple[str, int]:
+    box = args.box
+    groups = [
+        {
+            "value": group.value,
+            "k_min": group.k_min,
+            "k_max": group.k_max,
+            "multiplicity": group.multiplicity,
+            "representatives": [list(r) for r in group.representatives()],
+            "modes": [list(m.as_tuple()) for m in group.modes],
+        }
+        for group in enumerate_groups(box, args.lambda_max)
+    ]
+    data = {
+        "schema": 1,
+        "command": "table",
+        "box": [box.alpha, box.beta, box.gamma],
+        "lambda_max": args.lambda_max,
+        "groups": groups,
+    }
+    return _render(data, args.format, groups, TABLE_COLUMNS), EXIT_OK
+
+
+def _run_screen(args) -> tuple[str, int]:
+    return render_screen(build_screen(CUBE, args.lambda_max), args.format), EXIT_OK
+
+
+def _run_verdict(args) -> tuple[str, int]:
+    data = build_verdict(args.lambda_max, args.samples, args.resolution, args.seed, args.cap)
+    return render_verdict(data, args.format), EXIT_WARNINGS if data["warnings"] else EXIT_OK
+
+
+def _run_nodal(args) -> tuple[str, int]:
+    modes, coeffs = args.mode, args.coeffs
     if not modes:
-        raise UsageError("at least one --mode is required")
+        raise ValueError("at least one --mode is required")
     if len(coeffs) != len(modes):
-        raise UsageError(
-            f"{len(modes)} modes but {len(coeffs)} coefficients were given"
-        )
-    if len({m.as_tuple() for m in modes}) != len(modes):
-        raise UsageError("duplicate modes")
+        raise ValueError(f"{len(modes)} modes but {len(coeffs)} coefficients were given")
+    if len(set(modes)) != len(modes):
+        raise ValueError("duplicate modes")
     values = {CUBE.eigenvalue(m) for m in modes}
     if len(values) != 1:
-        raise UsageError(f"modes mix distinct eigenvalues {sorted(values)}")
-    if all(c == 0.0 for c in coeffs):
-        raise UsageError("coefficients must not all vanish")
+        raise ValueError(f"modes mix distinct eigenvalues {sorted(values)}")
     value = values.pop()
-    group = next(g for g in enumerate_groups(CUBE, value) if g.value == value)
-    by_mode = {m.as_tuple(): c for m, c in zip(modes, coeffs)}
-    full = tuple(by_mode.get(m.as_tuple(), 0.0) for m in group.modes)
-    count = count_nodal_domains(EigenCombo(group, full), resolution, cap)
-    return {
+    group = _cube_group(value)
+    by_mode = dict(zip(modes, coeffs))
+    full = tuple(by_mode.get(m, 0.0) for m in group.modes)
+    count = count_nodal_domains(EigenCombo(group, full), args.resolution, args.cap)
+    data = {
         "schema": 1,
         "command": "nodal",
         "eigenvalue": value,
         "modes": [list(m.as_tuple()) for m in modes],
         "coeffs": list(coeffs),
-        "count": _count_to_dict(count),
+        "count": {
+            "positive_components": count.positive_components,
+            "negative_components": count.negative_components,
+            "total": count.total,
+            "zero_samples": count.zero_samples,
+            "resolution_used": count.resolution_used,
+            "converged": count.converged,
+        },
     }
+    return _render(data, "json"), EXIT_OK if count.converged else EXIT_WARNINGS
 
 
-def build_sweep(config: ReportConfig, value: float) -> dict:
-    groups = enumerate_groups(CUBE, value)
-    group = next((g for g in groups if g.value == value), None)
-    if group is None:
-        raise UsageError(f"{value} is not a cube eigenvalue")
-    result = sweep_eigenspace(
-        group,
-        config.sweep_samples,
-        config.resolution,
-        seed=config.seed,
-        cap=config.cap,
-    )
-    records = []
-    for s in result.samples:
-        records.append(
-            {
-                "index": s.index,
-                "coeffs": list(s.coeffs),
-                "total": s.count.total,
-                "converged": s.count.converged,
-                "resolution_used": s.count.resolution_used,
-                "predicted": None if s.predicted is None else s.predicted.count,
-                "boundary_distance": s.boundary_distance,
-            }
-        )
-    return {
+def _run_sweep(args) -> tuple[str, int]:
+    group = _cube_group(args.value)
+    result = sweep_eigenspace(group, args.samples, args.resolution, seed=args.seed, cap=args.cap)
+    records = [
+        {
+            "index": s.index,
+            "coeffs": list(s.coeffs),
+            "total": s.count.total,
+            "converged": s.count.converged,
+            "resolution_used": s.count.resolution_used,
+            "predicted": None if s.predicted is None else s.predicted.count,
+            "boundary_distance": s.boundary_distance,
+        }
+        for s in result.samples
+    ]
+    data = {
         "schema": 1,
         "command": "sweep",
         "eigenvalue": group.value,
@@ -512,47 +448,19 @@ def build_sweep(config: ReportConfig, value: float) -> dict:
         "non_converged": list(result.non_converged),
         "records": records,
     }
-
-
-def render_sweep(data: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(data)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["index", "total", "converged", "resolution_used", "predicted", "boundary_distance", "coeffs"]
-        )
-        for r in data["records"]:
-            writer.writerow(
-                [
-                    r["index"],
-                    r["total"],
-                    r["converged"],
-                    r["resolution_used"],
-                    "" if r["predicted"] is None else r["predicted"],
-                    "" if r["boundary_distance"] is None else f"{r['boundary_distance']:.6f}",
-                    " ".join(f"{c!r}" for c in r["coeffs"]),
-                ]
-            )
-        return buf.getvalue()
-    hist = ", ".join(f"{k}: {v}" for k, v in data["histogram"].items())
-    lines = [
-        f"Eigenspace sweep at lambda={_format_value(data['eigenvalue'])} "
-        f"(k_min={data['k_min']}): {data['samples']} samples, "
-        f"resolution {data['resolution']}, seed {data['seed']}",
-        f"histogram: {{{hist}}}",
-        f"non-converged samples: {len(data['non_converged'])}",
+    head = [
+        f"Eigenspace sweep at lambda={_format_value(group.value)} "
+        f"(k_min={group.k_min}): {result.n_samples} samples, "
+        f"resolution {result.n0}, seed {result.seed}",
+        "histogram: {" + ", ".join(f"{k}: {v}" for k, v in result.histogram.items()) + "}",
+        f"non-converged samples: {len(result.non_converged)}",
     ]
-    return "\n".join(lines) + "\n"
+    text = _render(data, args.format, records, SWEEP_COLUMNS, head)
+    return text, EXIT_WARNINGS if result.non_converged else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -562,106 +470,63 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, box: bool) -> None:
-    parser.add_argument("--lambda-max", type=float, default=48.0)
-    parser.add_argument("--format", choices=FORMATS, default="md")
-    parser.add_argument("--out", default=None)
-    if box:
-        parser.add_argument(
-            "--box",
-            type=_parse_box,
-            default=CUBE,
-            help="box weights a,b,c (eigenvalue = a*l^2 + b*m^2 + c*n^2)",
-        )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubenodal", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", help="eigenvalue table with Courant index ranges")
-    _add_common(p_table, box=True)
+    def command(name, run, help, formats=FORMATS):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if formats:
+            p.add_argument("--format", choices=formats, default="md")
+        p.add_argument("--out", default=None)
+        return p
 
-    p_screen = sub.add_parser("screen", help="Faber-Krahn screening + symmetry bounds")
-    _add_common(p_screen, box=True)
+    def counting(p, *, samples=True):
+        p.add_argument("--resolution", type=int, default=128)
+        p.add_argument("--cap", type=int, default=RESOLUTION_CAP)
+        if samples:
+            p.add_argument("--samples", type=int, default=500)
+            p.add_argument("--seed", type=int, default=0)
 
-    p_verdict = sub.add_parser("verdict", help="end-to-end Courant-sharp verdict")
-    _add_common(p_verdict, box=False)
-    p_verdict.add_argument("--resolution", type=int, default=128)
-    p_verdict.add_argument("--samples", type=int, default=500)
-    p_verdict.add_argument("--seed", type=int, default=0)
-    p_verdict.add_argument("--cap", type=int, default=RESOLUTION_CAP)
+    p_table = command("table", _run_table, "eigenvalue table with Courant index ranges")
+    p_table.add_argument("--lambda-max", type=_lambda_max, default=48.0)
+    p_table.add_argument(
+        "--box",
+        type=_triple(BoxSpec, float),
+        default=CUBE,
+        help="box weights a,b,c (eigenvalue = a*l^2 + b*m^2 + c*n^2)",
+    )
 
-    p_nodal = sub.add_parser("nodal", help="count nodal domains of one combination")
-    p_nodal.add_argument("--mode", type=_parse_mode, action="append", default=[])
+    p_screen = command("screen", _run_screen, "Faber-Krahn screening + symmetry bounds")
+    p_screen.add_argument("--lambda-max", type=_lambda_max, default=48.0)
+
+    p_verdict = command("verdict", _run_verdict, "end-to-end Courant-sharp verdict", ("md", "json"))
+    p_verdict.add_argument("--lambda-max", type=_lambda_max, default=48.0)
+    counting(p_verdict)
+
+    p_nodal = command("nodal", _run_nodal, "count nodal domains of one combination", ())
+    p_nodal.add_argument("--mode", type=_triple(ModeTriple, int), action="append", default=[])
     p_nodal.add_argument("--coeffs", type=_parse_coeffs, default=())
-    p_nodal.add_argument("--resolution", type=int, default=128)
-    p_nodal.add_argument("--cap", type=int, default=RESOLUTION_CAP)
-    p_nodal.add_argument("--out", default=None)
+    counting(p_nodal, samples=False)
 
-    p_sweep = sub.add_parser("sweep", help="low-discrepancy sweep of one eigenspace")
+    p_sweep = command("sweep", _run_sweep, "low-discrepancy sweep of one eigenspace")
     p_sweep.add_argument("--value", type=float, default=11.0)
-    p_sweep.add_argument("--format", choices=FORMATS, default="md")
-    p_sweep.add_argument("--resolution", type=int, default=128)
-    p_sweep.add_argument("--samples", type=int, default=500)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--cap", type=int, default=RESOLUTION_CAP)
-    p_sweep.add_argument("--out", default=None)
+    counting(p_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "table":
-            config = ReportConfig(lambda_max=args.lambda_max, fmt=args.format, box=args.box, out=args.out)
-            rows = build_table(config.box, config.lambda_max)
-            _emit(render_table(rows, config.box, config.lambda_max, config.fmt), config.out)
-            return EXIT_OK
-        if args.command == "screen":
-            config = ReportConfig(lambda_max=args.lambda_max, fmt=args.format, box=args.box, out=args.out)
-            data = build_screen(config.box, config.lambda_max)
-            _emit(render_screen(data, config.fmt), config.out)
-            return EXIT_OK
-        if args.command == "verdict":
-            config = ReportConfig(
-                lambda_max=args.lambda_max,
-                fmt=args.format,
-                resolution=args.resolution,
-                sweep_samples=args.samples,
-                seed=args.seed,
-                cap=args.cap,
-                out=args.out,
-            )
-            data, warnings = build_verdict(config)
-            _emit(render_verdict(data, config.fmt), config.out)
-            return EXIT_WARNINGS if warnings else EXIT_OK
-        if args.command == "nodal":
-            data = build_nodal(args.mode, args.coeffs, args.resolution, args.cap)
-            _emit(_json_text(data), args.out)
-            return EXIT_OK if data["count"]["converged"] else EXIT_WARNINGS
-        if args.command == "sweep":
-            config = ReportConfig(
-                fmt=args.format,
-                resolution=args.resolution,
-                sweep_samples=args.samples,
-                seed=args.seed,
-                cap=args.cap,
-                out=args.out,
-            )
-            data = build_sweep(config, args.value)
-            _emit(render_sweep(data, config.fmt), config.out)
-            return EXIT_WARNINGS if data["non_converged"] else EXIT_OK
-    except UsageError as exc:
-        print(f"cubenodal: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        text, code = args.run(args)
     except ValueError as exc:
         print(f"cubenodal: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
+    _emit(text, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -164,10 +164,13 @@ def count_nodal_domains(
     Counts at n0 and 2*n0; on agreement returns the finer result with
     converged=True, otherwise keeps doubling while the next resolution stays
     within ``cap``.  A result returned at the cap without agreement carries
-    converged=False; the caller decides what to do with it.
+    converged=False; the caller decides what to do with it.  No grid finer
+    than ``cap`` is sampled: a ``cap`` below 2*n0 is refused up front.
     """
     if n0 < 16:
         raise ValueError(f"base resolution must be at least 16, got {n0}")
+    if 2 * n0 > cap:
+        raise ValueError(f"resolution cap {cap} is below twice the base resolution {n0}")
     prev = count_components(sample_field(combo, n0))
     n = 2 * n0
     while True:
@@ -223,11 +226,7 @@ class SweepResult:
 
 
 def _is_lambda11_cube_group(group: EigenvalueGroup) -> bool:
-    return group.value == 11 and {m.as_tuple() for m in group.modes} == {
-        (1, 1, 3),
-        (1, 3, 1),
-        (3, 1, 1),
-    }
+    return group.value == 11 and set(group.modes) == set(quadric.LAMBDA11_MODES)
 
 
 def sweep_eigenspace(

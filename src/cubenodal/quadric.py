@@ -92,10 +92,8 @@ def reduce_to_quadric(a: float, b: float, c: float) -> QuadricCoeffs:
 
     The triple-angle identity moves each 4cos^2-1 factor onto its own axis:
     the u^2 coefficient comes from the sin 3x term, so (A, B, C) = (b, c, a).
-    The coefficient sum is preserved.
+    The coefficient sum is preserved.  ``QuadricCoeffs`` refuses (0, 0, 0).
     """
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        raise ValueError("(a, b, c) must not all vanish")
     return QuadricCoeffs(A=b, B=c, C=a, source=(a, b, c))
 
 
@@ -210,7 +208,8 @@ def sine_coeffs_from_modes(
     ``a`` multiplies the sin 3z mode (1,1,3), ``b`` the sin 3x mode (3,1,1)
     and ``c`` the sin 3y mode (1,3,1); ``modes`` may come in any order.
     """
-    lookup = {mode.as_tuple(): float(x) for mode, x in zip(modes, coeffs)}
-    if len(lookup) != 3 or set(lookup) != {(1, 1, 3), (1, 3, 1), (3, 1, 1)}:
+    lookup = {mode: float(x) for mode, x in zip(modes, coeffs)}
+    if set(lookup) != set(LAMBDA11_MODES):
         raise ValueError("modes must be exactly the eigenvalue-11 triples")
-    return (lookup[(1, 1, 3)], lookup[(3, 1, 1)], lookup[(1, 3, 1)])
+    sin3z, sin3y, sin3x = LAMBDA11_MODES
+    return (lookup[sin3z], lookup[sin3x], lookup[sin3y])

@@ -40,8 +40,16 @@ def eigenspace_parity(mode: ModeTriple) -> Parity:
 
 
 def group_parity(group: EigenvalueGroup) -> Parity:
-    """Common parity of a whole eigenvalue group."""
-    return eigenspace_parity(group.modes[0])
+    """Common parity of a whole eigenvalue group.
+
+    Every group of the cube has one parity.  On other boxes a group may mix
+    them (on 1,1,2 the eigenvalue-10 group holds (1,1,2) and (2,2,1)), and
+    then it has no parity subspace of its own, so it is refused.
+    """
+    parities = {eigenspace_parity(m) for m in group.modes}
+    if len(parities) != 1:
+        raise ValueError(f"the modes of eigenvalue {group.value} mix both parities")
+    return parities.pop()
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,15 @@ class SymmetricIndex:
     def bound(self) -> int:
         return 2 * self.j
 
+    @property
+    def excludes(self) -> bool:
+        """True iff the halved bound rules out Courant sharpness at k_min.
+
+        Sharpness needs an eigenfunction with k_min nodal domains, so the
+        strict inequality bound < k_min suffices to exclude.
+        """
+        return self.bound < self.group.k_min
+
 
 def symmetric_index(box: BoxSpec, value: float, parity: Parity) -> SymmetricIndex:
     """Index of ``value`` within the stated parity subspace of the box."""
@@ -73,16 +90,11 @@ def symmetric_index(box: BoxSpec, value: float, parity: Parity) -> SymmetricInde
             f"eigenspace of {value} is {group_parity(target).value}, not {parity.value}"
         )
     below = sum(
-        g.multiplicity for g in groups if g.value < value and group_parity(g) is parity
+        eigenspace_parity(m) is parity for g in groups if g.value < value for m in g.modes
     )
     return SymmetricIndex(target, parity, below + 1)
 
 
 def symmetry_excludes(box: BoxSpec, group: EigenvalueGroup) -> bool:
-    """True iff the halved Courant bound rules out Courant sharpness.
-
-    Sharpness needs an eigenfunction with k_min nodal domains, so the strict
-    inequality bound < k_min suffices to exclude.
-    """
-    si = symmetric_index(box, group.value, group_parity(group))
-    return si.bound < group.k_min
+    """True iff the halved Courant bound rules out Courant sharpness."""
+    return symmetric_index(box, group.value, group_parity(group)).excludes

@@ -86,12 +86,11 @@ def test_cutoff_polynomial_brackets_root():
 
 def test_screen_candidates_on_the_cube():
     records = screen_candidates(CUBE, 48)
-    assert [r.group.k_min for r in records if r.candidate] == [1, 2, 5, 8, 12]
+    assert [r.group.k_min for r in records if r.fk_pass] == [1, 2, 5, 8, 12]
     by_value = {r.group.value: r for r in records}
-    assert not by_value[12].candidate      # 12^{3/2}/11 ~ 3.78
-    assert by_value[6].candidate           # 6^{3/2}/2 ~ 7.35
+    assert not by_value[12].fk_pass        # 12^{3/2}/11 ~ 3.78
+    assert by_value[6].fk_pass             # 6^{3/2}/2 ~ 7.35
     assert by_value[6].ratio == pytest.approx(7.3485, abs=1e-4)
-    assert all(r.simple_start for r in records)
 
 
 def test_screening_is_a_stable_prefix():
@@ -117,7 +116,6 @@ def test_asymptotic_ratio_value():
 
 def test_candidate_equals_fk_pass():
     for rec in screen_candidates(CUBE, 100):
-        assert rec.candidate == rec.fk_pass
         assert rec.fk_pass == (rec.ratio >= FABER_KRAHN_RATIO)
         assert rec.ratio > 0
 

@@ -5,11 +5,22 @@ from pathlib import Path
 
 import pytest
 
-from cubenodal import cli, pleijel_cutoff
+from cubenodal import CUBE, BoxSpec, cli, nodal, pleijel_cutoff
 from cubenodal.nodal import NodalCount
 from helpers import EIGENVALUE_TABLE
 
-GOLDEN = Path(__file__).parent / "data" / "table_golden.md"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "table_golden.md"
+
+# Reports pinned byte for byte.  json is left out: the round-trip tests cover
+# it, and float reprs are not pinned across platforms.
+GOLDEN_REPORTS = [
+    (["table"], "table_golden.md"),
+    (["table", "--format", "csv"], "table_golden.csv"),
+    (["screen"], "screen_golden.md"),
+    (["screen", "--format", "csv"], "screen_golden.csv"),
+    (["verdict", "--samples", "6", "--resolution", "32", "--seed", "2"], "verdict_golden.md"),
+]
 
 
 def run_cli(args):
@@ -26,10 +37,11 @@ def run_main(args, capsys):
     return code, out
 
 
-def test_table_matches_golden_copy():
-    result = run_cli(["table"])
+@pytest.mark.parametrize("argv, name", GOLDEN_REPORTS, ids=[n for _, n in GOLDEN_REPORTS])
+def test_report_matches_golden_copy(argv, name):
+    result = run_cli(argv)
     assert result.returncode == 0
-    assert result.stdout == GOLDEN.read_text()
+    assert result.stdout == (DATA / name).read_text()
 
 
 def test_table_json_matches_published_table(capsys):
@@ -96,6 +108,20 @@ def test_screen_report(capsys):
     assert "| 9 | 5-7 | 5.4000 | yes | even | 2 | 4 | yes |" in out
     assert "mu root = 6.97836" in out
     assert "lambda < 48.7" in out
+
+
+def test_screen_refuses_box_option():
+    result = run_cli(["screen", "--box", "4,4,4"])
+    assert result.returncode == 1
+    assert result.stdout == ""
+
+
+def test_build_screen_refuses_non_cube():
+    # The 4*pi/3 ratio and the cutoff hold only on the cube; a rescaled cube
+    # once gave 28 candidates instead of five.
+    with pytest.raises(ValueError):
+        cli.build_screen(BoxSpec(4, 4, 4), 192)
+    assert cli.build_screen(CUBE, 48)["candidates"] == [1, 2, 5, 8, 12]
 
 
 def test_screen_json_roundtrips_exactly(capsys):
@@ -173,6 +199,19 @@ def test_nodal_nonconverged_exits_with_warning(capsys, monkeypatch):
     assert json.loads(out)["count"]["converged"] is False
 
 
+def test_nodal_resolution_beyond_cap_is_refused(capsys, monkeypatch):
+    # 2 * 512 exceeds the default cap: refused before any grid is sampled.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(nodal, "sample_field", no_grid)
+    code = cli.main(["nodal", "--mode", "1,1,1", "--coeffs", "1", "--resolution", "512"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cap" in captured.err
+
+
 def test_sweep_json_deterministic():
     args = ["sweep", "--value", "6", "--samples", "6", "--resolution", "32",
             "--seed", "9", "--format", "json"]
@@ -205,6 +244,24 @@ def test_verdict_small_run(capsys):
     assert code == 0
     assert "Courant sharp: k=1 (lambda=3), k=2 (lambda=6)" in out
     assert "not Courant sharp" in out
+
+
+def test_verdict_refuses_csv():
+    result = run_cli(["verdict", "--lambda-max", "6", "--format", "csv"])
+    assert result.returncode == 1
+    assert result.stdout == ""
+
+
+def test_verdict_witness_must_converge(capsys, monkeypatch):
+    # One domain for k=1, but the count never settled: not sharp, a warning.
+    fake = NodalCount(1, 0, 0, 512, False)
+    monkeypatch.setattr(cli, "count_nodal_domains", lambda *a, **k: fake)
+    code, out = run_main(["verdict", "--lambda-max", "6", "--format", "json"], capsys)
+    assert code == 2
+    data = json.loads(out)
+    assert 1 not in data["courant_sharp"]
+    assert data["unresolved"] == [1, 2]
+    assert any("k=1" in w for w in data["warnings"])
 
 
 def test_verdict_json_fields(capsys):

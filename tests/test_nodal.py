@@ -104,6 +104,14 @@ def test_count_nodal_domains_requires_n0_16():
         count_nodal_domains(pure_combo(1, 1, 1), 8)
 
 
+def test_count_nodal_domains_cap_is_a_bound():
+    # The first doubling would sample 2*n0 = 32 > cap, so nothing is sampled.
+    with pytest.raises(ValueError):
+        count_nodal_domains(pure_combo(1, 1, 2), 16, cap=16)
+    count = count_nodal_domains(pure_combo(1, 1, 2), 16, cap=32)
+    assert count.resolution_used <= 32
+
+
 def test_product_mode_oracle_spot_checks():
     for triple in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 5), (3, 3, 3)]:
         count = count_nodal_domains(pure_combo(*triple), 32)

@@ -143,9 +143,12 @@ def test_scale_and_sign_invariance(abc, t):
     a, b, c = abc
     base = predict_components(reduce_to_quadric(a, b, c))
     scaled = predict_components(reduce_to_quadric(t * a, t * b, t * c))
-    # Guard against float sign flips of a+b+c under scaling near the cone.
+    # Guard against float sign flips of a+b+c under scaling near the cone,
+    # and against a subnormal coefficient that underflows to 0 when scaled.
     s, st_ = a + b + c, t * a + t * b + t * c
     if (s == 0) != (st_ == 0):
+        return
+    if any((v == 0) != (t * v == 0) for v in abc):
         return
     assert scaled.count == base.count
     assert classify(reduce_to_quadric(t * a, t * b, t * c)) is classify(

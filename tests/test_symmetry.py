@@ -2,6 +2,7 @@ import pytest
 
 from cubenodal import (
     CUBE,
+    BoxSpec,
     ModeTriple,
     Parity,
     eigenspace_parity,
@@ -47,6 +48,19 @@ def test_symmetry_exclusions():
     assert symmetry_excludes(CUBE, groups[9])     # bound 4 < k_min 5
     assert symmetry_excludes(CUBE, groups[14])    # bound 10 < k_min 12
     assert not symmetry_excludes(CUBE, groups[6])  # bound 2 = k_min 2
+
+
+def test_group_parity_rejects_mixed_group():
+    # On box 1,1,2 eigenvalue 10 holds odd (1,1,2) and even (2,2,1).
+    box = BoxSpec(1, 1, 2)
+    group = next(g for g in enumerate_groups(box, 10) if g.value == 10)
+    assert {eigenspace_parity(m) for m in group.modes} == {Parity.EVEN, Parity.ODD}
+    with pytest.raises(ValueError):
+        group_parity(group)
+    with pytest.raises(ValueError):
+        symmetry_excludes(box, group)
+    # Above it, the even modes (1,1,1) and (2,2,1) lie below eigenvalue 12.
+    assert symmetric_index(box, 12, Parity.EVEN).j == 3
 
 
 def test_parity_subspace_indices_tile_the_index_line():

@@ -1,8 +1,8 @@
 """Command-line reports: eigenvalue table, screening, sweep, nodal probe, verdict.
 
 Exit codes: 0 clean, 1 usage or input error, 2 completed with warnings
-(non-converged or unconfirmed nodal counts).  Reports go to stdout unless
---out is given.
+(non-converged or unconfirmed nodal counts, a verdict over a partial range or
+with a survivor left unexcluded).  Reports go to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from operator import itemgetter
 
@@ -252,9 +253,18 @@ def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, c
     A survivor is sharp if a product mode of its group has l*m*n = k_min and
     its grid count confirms it (the witness).  Any other survivor is swept and
     excluded if no sample reaches k_min and the quadric predictor agrees.
+    The verdict is complete only if the screen reaches every cube eigenvalue
+    (an integer) below the cutoff.
     """
     screen = build_screen(CUBE, lambda_max)
+    needed = math.floor(screen["lambda_cutoff"])
+    complete = lambda_max >= needed
     warnings: list[str] = []
+    if not complete:
+        warnings.append(
+            f"partial verdict: eigenvalues above {_format_value(lambda_max)} were not "
+            f"screened; the cutoff {screen['lambda_cutoff']:.1f} needs lambda-max >= {needed}"
+        )
     sharp: list[dict] = []
     unresolved: list[int] = []
     sweep_report = None
@@ -305,11 +315,16 @@ def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, c
         }
         if not excluded:
             unresolved.append(k)
+            warnings.append(
+                f"eigenvalue {_format_value(group.value)} (k={k}) is not excluded: "
+                f"max count {max_total}, {mismatches} predictor mismatch(es)"
+            )
 
     return {
         "schema": 1,
         "command": "verdict",
         "lambda_max": lambda_max,
+        "complete": complete,
         "screen": screen,
         "sharp": sharp,
         "eigenspace_sweep": sweep_report,

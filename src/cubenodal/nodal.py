@@ -10,6 +10,14 @@ planes, so assigning them to either side would corrupt counts.
 A count is trusted once it is stable under one resolution doubling; on
 disagreement the resolution keeps doubling up to a cap, and the final result
 carries converged=False if the last pair still disagrees.
+
+Counts are taken on the quotient by the field's mirror planes.  At even n the
+plane x = pi/2 is the lattice plane i = n/2, and if every active mode has odd
+l the field is symmetric under x -> pi - x (antisymmetric if every l is even,
+and then that plane is nodal).  Only i <= n/2 is sampled on such an axis.  A
+component that does not touch a mirror plane has a distinct mirror image, so
+it counts twice per such plane; a zero sample counts once for each of its
+images.  Axes with mixed parities, and every axis at odd n, are sampled whole.
 """
 
 from __future__ import annotations
@@ -78,10 +86,16 @@ class EigenCombo:
 
 @dataclass(frozen=True)
 class ScalarGrid:
-    """Values of an eigenfunction on the interior lattice of the cube."""
+    """Values of an eigenfunction on the interior lattice of the cube.
+
+    Per axis, ``mirrors`` is 0 for an axis sampled whole (i = 1..n-1), or +1
+    (-1) for a field symmetric (antisymmetric) under i -> n - i, sampled on
+    i = 1..n/2 only.
+    """
 
     n: int
     values: np.ndarray
+    mirrors: tuple[int, int, int] = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -115,45 +129,77 @@ def _sine_table(n: int) -> np.ndarray:
     return table
 
 
-def _axis_samples(freq: int, n: int, table: np.ndarray) -> np.ndarray:
-    idx = (freq * np.arange(1, n)) % (2 * n)
-    return table[idx]
-
-
-def sample_field(combo: EigenCombo, n: int) -> ScalarGrid:
+def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGrid:
     """Sample the combination on the n-interior lattice (exact trig values).
 
     Each mode separates into axis factors, so the whole field is one matrix
     product of per-mode (x,y)-planes against per-mode z-samples.  Zeros on
     lattice-aligned nodal planes come out exactly 0.0 because every term
-    carries an exact zero factor.
+    carries an exact zero factor.  With ``quotient`` every axis on which the
+    active modes share a parity is sampled only up to its mirror plane
+    (see ``ScalarGrid``); the samples taken are those of the whole grid.
     """
     if n < 8:
         raise ValueError(f"resolution must be at least 8, got {n}")
     table = _sine_table(n)
     active = [
-        (coeff, mode)
+        (coeff, mode.as_tuple())
         for coeff, mode in zip(combo.coeffs, combo.group.modes)
         if coeff != 0.0
     ]
-    planes = np.empty((len(active), (n - 1) * (n - 1)))
-    sz = np.empty((len(active), n - 1))
-    for t, (coeff, mode) in enumerate(active):
-        sx = coeff * _axis_samples(mode.l, n, table)
-        sy = _axis_samples(mode.m, n, table)
+    # sin(f (pi - x)) = (-1)^(f+1) sin(f x): all-odd indices on an axis give +1,
+    # all-even -1.  At odd n no lattice plane lies on the mirror.
+    parities = [{mode[axis] % 2 for _, mode in active} for axis in range(3)]
+    mirrors = tuple(
+        2 * min(p) - 1 if quotient and n % 2 == 0 and len(p) == 1 else 0 for p in parities
+    )
+    # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n).
+    ranges = [np.arange(1, n // 2 + 1 if m else n) for m in mirrors]
+    shape = tuple(len(r) for r in ranges)
+    planes = np.empty((len(active), shape[0] * shape[1]))
+    sz = np.empty((len(active), shape[2]))
+    for t, (coeff, (l, m, k)) in enumerate(active):
+        sx = coeff * table[(l * ranges[0]) % (2 * n)]
+        sy = table[(m * ranges[1]) % (2 * n)]
         planes[t] = np.multiply.outer(sx, sy).ravel()
-        sz[t] = _axis_samples(mode.n, n, table)
-    values = (planes.T @ sz).reshape(n - 1, n - 1, n - 1)
-    return ScalarGrid(n, values)
+        sz[t] = table[(k * ranges[2]) % (2 * n)]
+    values = (planes.T @ sz).reshape(shape)
+    return ScalarGrid(n, values, mirrors)
+
+
+def _orbit_count(mask: np.ndarray, mirror_axes: list[int]) -> int:
+    """Components of ``mask`` on the whole grid, from its quotient.
+
+    A component counts 2 for each mirror plane (the last index of a mirror
+    axis) that it does not touch.
+    """
+    labels, count = ndimage.label(mask, structure=_FACE_STRUCTURE)
+    touched = np.zeros(count + 1, dtype=np.int64)
+    for axis in mirror_axes:
+        touched[np.unique(np.take(labels, -1, axis=axis))] += 1
+    return int(np.sum(1 << (len(mirror_axes) - touched[1:])))
 
 
 def count_components(grid: ScalarGrid) -> NodalCount:
-    """Face-connected components of the positive and negative sample sets."""
+    """Face-connected components of the positive and negative sample sets.
+
+    Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
+    its quotient.  An antisymmetric mirror maps each component onto one of
+    the other sign, so then the two signs split the total evenly.
+    """
     v = grid.values
-    _, n_pos = ndimage.label(v > 0.0, structure=_FACE_STRUCTURE)
-    _, n_neg = ndimage.label(v < 0.0, structure=_FACE_STRUCTURE)
-    zeros = int((v == 0.0).sum())
-    return NodalCount(int(n_pos), int(n_neg), zeros, grid.n, False)
+    mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
+    n_pos = _orbit_count(v > 0.0, mirror_axes)
+    n_neg = _orbit_count(v < 0.0, mirror_axes)
+    if -1 in grid.mirrors:
+        n_pos = n_neg = (n_pos + n_neg) // 2
+    # Zero samples, weighted by their number of images: reduce one axis at a
+    # time, counting the mirror plane once and every other plane twice.
+    zeros = v == 0.0
+    for m in reversed(grid.mirrors):
+        total = zeros.sum(axis=-1)
+        zeros = 2 * total - zeros[..., -1] if m else total
+    return NodalCount(n_pos, n_neg, int(zeros), grid.n, False)
 
 
 def count_nodal_domains(
@@ -171,10 +217,10 @@ def count_nodal_domains(
         raise ValueError(f"base resolution must be at least 16, got {n0}")
     if 2 * n0 > cap:
         raise ValueError(f"resolution cap {cap} is below twice the base resolution {n0}")
-    prev = count_components(sample_field(combo, n0))
+    prev = count_components(sample_field(combo, n0, quotient=True))
     n = 2 * n0
     while True:
-        current = count_components(sample_field(combo, n))
+        current = count_components(sample_field(combo, n, quotient=True))
         if current.total == prev.total:
             return replace(current, converged=True)
         if 2 * n > cap:

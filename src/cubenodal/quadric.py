@@ -59,10 +59,6 @@ class QuadricCoeffs:
     def coefficient_sum(self) -> float:
         return self.A + self.B + self.C
 
-    @property
-    def coefficient_product(self) -> float:
-        return self.A * self.B * self.C
-
 
 class QuadricClass(enum.Enum):
     CYLINDER = "cylinder"
@@ -100,11 +96,12 @@ def reduce_to_quadric(a: float, b: float, c: float) -> QuadricCoeffs:
 def classify(q: QuadricCoeffs) -> QuadricClass:
     """Surface type from the exact sign pattern of (A, B, C).
 
-    With s = A+B+C and p = ABC: two zero coefficients give a pair of parallel
-    planes; one zero coefficient gives a cylinder (elliptic or hyperbolic)
-    except for the degenerate crossed planes at s = 0; p != 0 gives a cone at
-    s = 0, an ellipsoid for a single sign, and otherwise a hyperboloid with
-    one sheet (p*s < 0) or two sheets (p*s > 0).
+    With s = A+B+C: two zero coefficients give a pair of parallel planes; one
+    zero coefficient gives a cylinder (elliptic or hyperbolic) except for the
+    degenerate crossed planes at s = 0; three nonzero give a cone at s = 0, an
+    ellipsoid for a single sign, and otherwise a hyperboloid with one sheet
+    (ABC and s of opposite signs) or two sheets.  The sign of ABC is read from
+    the number of negative coefficients: the float product can underflow to 0.
     """
     coeffs = (q.A, q.B, q.C)
     nonzero = [t for t in coeffs if t != 0.0]
@@ -119,7 +116,8 @@ def classify(q: QuadricCoeffs) -> QuadricClass:
         return QuadricClass.CONE
     if all(t > 0 for t in coeffs) or all(t < 0 for t in coeffs):
         return QuadricClass.ELLIPSOID
-    if q.coefficient_product * s < 0:
+    product_negative = sum(t < 0 for t in coeffs) % 2 == 1
+    if product_negative == (s > 0):
         return QuadricClass.HYPERBOLOID_ONE_SHEET
     return QuadricClass.HYPERBOLOID_TWO_SHEETS
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The eigenspace sweep
-(criterion 7) dominates the runtime at a few minutes; everything else is
-seconds.
+(criterion 7) dominates the runtime at about half a minute; everything else
+is seconds.
 """
 
 import json

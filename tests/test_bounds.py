@@ -84,6 +84,20 @@ def test_cutoff_polynomial_brackets_root():
     assert abs(_cutoff_poly(mu)) < 1e-9
 
 
+def test_cutoff_polynomial_follows_from_the_bounds():
+    # A sharp k = N(lambda) + 1 must satisfy Faber-Krahn, k <= (3/(4 pi)) mu^3
+    # with mu^2 = lambda, so the gap below is positive.  Where the screening
+    # cubic is negative the gap must be too: the cubic minus the gap is
+    # 3 sqrt(mu^2 - 2) - 3 mu + 3, which is >= 0 for mu >= 1.5.
+    for i in range(2001):
+        lam = 3 + i * (400 - 3) / 2000  # mu over [sqrt(3), 20]
+        mu = math.sqrt(lam)
+        gap = (3 / (4 * math.pi)) * mu**3 - lattice_lower_bound(lam) - 1
+        diff = _cutoff_poly(mu) - gap
+        assert diff >= 0, mu
+        assert diff == pytest.approx(3 * math.sqrt(mu * mu - 2) - 3 * mu + 3, abs=1e-9)
+
+
 def test_screen_candidates_on_the_cube():
     records = screen_candidates(CUBE, 48)
     assert [r.group.k_min for r in records if r.fk_pass] == [1, 2, 5, 8, 12]

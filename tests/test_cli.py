@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from cubenodal import CUBE, BoxSpec, cli, nodal, pleijel_cutoff
-from cubenodal.nodal import NodalCount
+from cubenodal.nodal import NodalCount, SweepResult, SweepSample
 from helpers import EIGENVALUE_TABLE
 
 DATA = Path(__file__).parent / "data"
@@ -278,4 +278,32 @@ def test_verdict_json_fields(capsys):
     assert sweep["k_min"] == 8
     assert set(sweep["histogram"]) <= {"2", "3", "4"}
     assert sweep["predictor_mismatches"] == 0
+    assert data["complete"] is True
     assert data["warnings"] == []
+
+
+def test_verdict_partial_range_exits_with_warning(capsys):
+    # 10 is below 48, the last cube eigenvalue under the cutoff 48.7.
+    code, out = run_main(["verdict", "--lambda-max", "10"], capsys)
+    assert code == 2
+    assert "partial" in out
+    code, out = run_main(["verdict", "--lambda-max", "10", "--format", "json"], capsys)
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert data["courant_sharp"] == [1, 2]
+    assert any("partial" in w for w in data["warnings"])
+
+
+def test_verdict_survivor_not_excluded_exits_with_warning(capsys, monkeypatch):
+    def reaching(group, n_samples, n0, *, seed, cap):
+        count = NodalCount(4, 4, 0, 2 * n0, True)
+        sample = SweepSample(0, (1.0,) + (0.0,) * (group.multiplicity - 1), count)
+        return SweepResult(group, 1, n0, seed, (sample,))
+
+    monkeypatch.setattr(cli, "sweep_eigenspace", reaching)
+    code, out = run_main(["verdict", "--format", "json"], capsys)
+    assert code == 2
+    data = json.loads(out)
+    assert data["eigenspace_sweep"]["courant_sharp"] is True
+    assert data["unresolved"] == [8]
+    assert any("k=8" in w and "not excluded" in w for w in data["warnings"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,3 +230,58 @@ def test_product_count_matches_grid_for_general_box_idea():
     for triple in [(2, 1, 1), (2, 2, 3)]:
         count = count_nodal_domains(pure_combo(*triple), 32)
         assert count.total == math.prod(triple)
+
+
+def random_combos(value, count, seed):
+    group = group_at(value)
+    rng = np.random.default_rng(seed)
+    combos = []
+    for _ in range(count):
+        coeffs = rng.normal(size=group.multiplicity)
+        combos.append(EigenCombo(group, tuple(coeffs / np.linalg.norm(coeffs))))
+    return combos
+
+
+def full_grid_count(combo, n0, cap):
+    """count_nodal_domains's doubling policy, counted on whole grids only."""
+    prev = count_components(sample_field(combo, n0))
+    n = 2 * n0
+    while True:
+        current = count_components(sample_field(combo, n))
+        if current.total == prev.total:
+            return replace(current, converged=True)
+        if 2 * n > cap:
+            return current
+        prev, n = current, 2 * n
+
+
+# (combinations, n0, cap, mirrors of the grid at 2*n0)
+QUOTIENT_CASES = {
+    "lambda11-symmetric": (random_combos(11, 6, 1), 32, 128, (1, 1, 1)),
+    "lambda12-antisymmetric": (random_combos(12, 2, 2), 16, 64, (-1, -1, -1)),
+    "lambda24-antisymmetric": (random_combos(24, 4, 3), 16, 64, (-1, -1, -1)),
+    "mode123-mixed": ([pure_combo(1, 2, 3)], 16, 64, (1, -1, 1)),
+    "lambda6-no-parity": (random_combos(6, 4, 4), 16, 64, (0, 0, 0)),
+    "lambda14-no-parity": (random_combos(14, 4, 5), 16, 64, (0, 0, 0)),
+    "n0-17-odd-then-even": (random_combos(11, 3, 6), 17, 68, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(QUOTIENT_CASES))
+def test_quotient_count_matches_full_grid(case):
+    combos, n0, cap, mirrors = QUOTIENT_CASES[case]
+    for combo in combos:
+        assert sample_field(combo, 2 * n0, quotient=True).mirrors == mirrors
+        count = count_nodal_domains(combo, n0, cap)
+        assert count == full_grid_count(combo, n0, cap), combo.coeffs
+        n = n0
+        while n <= count.resolution_used:
+            full = sample_field(combo, n)
+            quotient = sample_field(combo, n, quotient=True)
+            if n % 2:
+                assert quotient.mirrors == (0, 0, 0)
+            # The quotient's samples are bitwise those of the full grid's corner.
+            corner = tuple(slice(0, size) for size in quotient.values.shape)
+            assert np.array_equal(quotient.values, full.values[corner])
+            assert count_components(quotient) == count_components(full)
+            n *= 2

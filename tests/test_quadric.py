@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubenodal import (
     QuadricClass,
@@ -74,6 +74,8 @@ def test_reduction_identity_at_center():
         ((0.0, 1.5, -0.5), QuadricClass.CYLINDER),
         ((1.0, -1.0, 0.0), QuadricClass.CROSSED_PLANES),
         ((1.0, 0.0, 0.0), QuadricClass.DOUBLE_PLANES),
+        # A*B*C underflows to -0.0; the sign comes from the one negative term.
+        ((0.5, 0.5, -5e-324), QuadricClass.HYPERBOLOID_ONE_SHEET),
     ],
 )
 def test_classify(abc, expected):
@@ -96,6 +98,7 @@ def test_classify(abc, expected):
         ((0.5, 0.8, -0.3), 2),
         ((0.8, 0.8, -0.6), 2),
         ((0.8, 0.8, -2.6), 3),
+        ((0.5, 0.5, -5e-324), 2),
     ],
 )
 def test_predicted_counts(abc, count):
@@ -139,6 +142,7 @@ def test_counts_always_in_2_3_4():
         st.floats(min_value=-100, max_value=-0.01),
     ),
 )
+@example((1.54e-303, 1.0, -2.24e-26), -42.0)  # unscaled A*B*C underflows to -0.0
 def test_scale_and_sign_invariance(abc, t):
     a, b, c = abc
     base = predict_components(reduce_to_quadric(a, b, c))

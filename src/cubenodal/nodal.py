@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 RESOLUTION_CAP = 512
+# Samples evaluated at once by count_components: 2 MiB of float64.
+SLAB_POINTS = 1 << 18
 
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -86,7 +88,13 @@ class EigenCombo:
 
 @dataclass(frozen=True)
 class ScalarGrid:
-    """Values of an eigenfunction on the interior lattice of the cube.
+    """Samples of an eigenfunction on the interior lattice of the cube.
+
+    The samples are kept as separable factors: with ``sx, sy, sz = shape``,
+    column ``i * sy + j`` of ``planes`` dotted with column ``k`` of ``zs``
+    is the sample at lattice index (i+1, j+1, k+1).  ``rows`` evaluates a
+    few x-rows at a time, so a count holds O(n^2) samples at once whatever
+    n is; ``values`` evaluates the whole array.
 
     Per axis, ``mirrors`` is 0 for an axis sampled whole (i = 1..n-1), or +1
     (-1) for a field symmetric (antisymmetric) under i -> n - i, sampled on
@@ -94,8 +102,19 @@ class ScalarGrid:
     """
 
     n: int
-    values: np.ndarray
+    shape: tuple[int, int, int]
+    planes: np.ndarray
+    zs: np.ndarray
     mirrors: tuple[int, int, int] = (0, 0, 0)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The samples of x-rows start..stop-1 (0-based), shape (stop-start, sy, sz)."""
+        _, sy, sz = self.shape
+        return (self.planes[:, start * sy : stop * sy].T @ self.zs).reshape(-1, sy, sz)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows(0, self.shape[0])
 
 
 @dataclass(frozen=True)
@@ -132,8 +151,9 @@ def _sine_table(n: int) -> np.ndarray:
 def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGrid:
     """Sample the combination on the n-interior lattice (exact trig values).
 
-    Each mode separates into axis factors, so the whole field is one matrix
-    product of per-mode (x,y)-planes against per-mode z-samples.  Zeros on
+    Each mode separates into axis factors, so the field is a matrix product
+    of per-mode (x,y)-planes against per-mode z-samples, which the returned
+    grid keeps unevaluated (see ``ScalarGrid``).  Zeros on
     lattice-aligned nodal planes come out exactly 0.0 because every term
     carries an exact zero factor.  With ``quotient`` every axis on which the
     active modes share a parity is sampled only up to its mirror plane
@@ -163,21 +183,54 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
         sy = table[(m * ranges[1]) % (2 * n)]
         planes[t] = np.multiply.outer(sx, sy).ravel()
         sz[t] = table[(k * ranges[2]) % (2 * n)]
-    values = (planes.T @ sz).reshape(shape)
-    return ScalarGrid(n, values, mirrors)
+    return ScalarGrid(n, shape, planes, sz, mirrors)
 
 
-def _orbit_count(mask: np.ndarray, mirror_axes: list[int]) -> int:
-    """Components of ``mask`` on the whole grid, from its quotient.
+class _Components:
+    """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
-    A component counts 2 for each mirror plane (the last index of a mirror
-    axis) that it does not touch.
+    Each slab is labelled on its own, its labels numbered on from the
+    previous slab's, and labels that meet across the face between two slabs
+    are merged in a union-find.  A component counts 2 for each mirror plane
+    (the last index of a mirror axis) that it does not touch, which is its
+    number of images on the whole grid.
     """
-    labels, count = ndimage.label(mask, structure=_FACE_STRUCTURE)
-    touched = np.zeros(count + 1, dtype=np.int64)
-    for axis in mirror_axes:
-        touched[np.unique(np.take(labels, -1, axis=axis))] += 1
-    return int(np.sum(1 << (len(mirror_axes) - touched[1:])))
+
+    def __init__(self, mirror_axes: list[int]):
+        self.mirror_axes = mirror_axes
+        self.parent = [0]  # union-find over the labels; 0 is the background
+        self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes}
+        self.last_row: np.ndarray | None = None
+
+    def root(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = a = self.parent[self.parent[a]]
+        return a
+
+    def add(self, mask: np.ndarray) -> None:
+        labels, count = ndimage.label(mask, structure=_FACE_STRUCTURE)
+        base = len(self.parent) - 1
+        self.parent.extend(range(base + 1, base + count + 1))
+        if self.last_row is not None:
+            # Pairs (a, b) of labels facing each other across the slab face,
+            # packed as a << 32 | b so that np.unique drops the repeats.
+            first = labels[0].astype(np.int64) + base
+            both = (self.last_row > 0) & (labels[0] > 0)
+            for key in np.unique(self.last_row[both] << 32 | first[both]).tolist():
+                self.parent[self.root(key >> 32)] = self.root(key & 0xFFFFFFFF)
+        for axis in self.mirror_axes:
+            if axis == 0:
+                self.on_plane[0].clear()  # only the last slab reaches the x mirror plane
+            plane = np.unique(np.take(labels, -1, axis=axis))
+            self.on_plane[axis].update((plane[plane > 0] + base).tolist())
+        self.last_row = np.where(labels[-1] > 0, labels[-1] + base, 0).astype(np.int64)
+
+    def count(self) -> int:
+        touched = Counter(
+            r for labels in self.on_plane.values() for r in {self.root(a) for a in labels}
+        )
+        roots = {self.root(a) for a in range(1, len(self.parent))}
+        return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
 
 
 def count_components(grid: ScalarGrid) -> NodalCount:
@@ -185,21 +238,31 @@ def count_components(grid: ScalarGrid) -> NodalCount:
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
     its quotient.  An antisymmetric mirror maps each component onto one of
-    the other sign, so then the two signs split the total evenly.
+    the other sign, so then the two signs split the total evenly.  The grid
+    is evaluated in slabs of at most ``SLAB_POINTS`` samples.
     """
-    v = grid.values
+    sx, sy, sz = grid.shape
+    step = max(1, SLAB_POINTS // (sy * sz))
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
-    n_pos = _orbit_count(v > 0.0, mirror_axes)
-    n_neg = _orbit_count(v < 0.0, mirror_axes)
+    positive, negative = _Components(mirror_axes), _Components(mirror_axes)
+    zero_rows = []
+    for start in range(0, sx, step):
+        v = grid.rows(start, min(start + step, sx))
+        positive.add(v > 0.0)
+        negative.add(v < 0.0)
+        # Zero samples, weighted by their number of images: reduce one axis
+        # at a time, counting the mirror plane once and every other plane twice.
+        zeros = v == 0.0
+        for m in grid.mirrors[:0:-1]:
+            total = zeros.sum(axis=-1)
+            zeros = 2 * total - zeros[..., -1] if m else total
+        zero_rows.append(zeros)
+    zeros = np.concatenate(zero_rows)
+    n_zero = 2 * zeros.sum() - zeros[-1] if grid.mirrors[0] else zeros.sum()
+    n_pos, n_neg = positive.count(), negative.count()
     if -1 in grid.mirrors:
         n_pos = n_neg = (n_pos + n_neg) // 2
-    # Zero samples, weighted by their number of images: reduce one axis at a
-    # time, counting the mirror plane once and every other plane twice.
-    zeros = v == 0.0
-    for m in reversed(grid.mirrors):
-        total = zeros.sum(axis=-1)
-        zeros = 2 * total - zeros[..., -1] if m else total
-    return NodalCount(n_pos, n_neg, int(zeros), grid.n, False)
+    return NodalCount(n_pos, n_neg, int(n_zero), grid.n, False)
 
 
 def count_nodal_domains(

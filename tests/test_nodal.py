@@ -18,6 +18,7 @@ from cubenodal import (
     sphere_samples,
     sweep_eigenspace,
 )
+from cubenodal import nodal
 from cubenodal.quadric import boundary_distance, sine_coeffs_from_modes
 
 
@@ -285,3 +286,28 @@ def test_quotient_count_matches_full_grid(case):
             assert np.array_equal(quotient.values, full.values[corner])
             assert count_components(quotient) == count_components(full)
             n *= 2
+
+
+@pytest.mark.parametrize("case", list(QUOTIENT_CASES))
+def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
+    # Every grid here fits one slab by default; one x-row per slab makes each
+    # component cross slab faces, and the counts must not change.
+    combos, n0, _, _ = QUOTIENT_CASES[case]
+    grids = [
+        sample_field(combo, n, quotient)
+        for combo in combos
+        for n in (n0, 2 * n0)
+        for quotient in (False, True)
+    ]
+    whole = [count_components(grid) for grid in grids]
+    assert all(grid.shape[0] * grid.shape[1] * grid.shape[2] <= nodal.SLAB_POINTS for grid in grids)
+    monkeypatch.setattr(nodal, "SLAB_POINTS", 1)
+    assert [count_components(grid) for grid in grids] == whole
+
+
+def test_rows_are_bitwise_slices_of_values():
+    grid = sample_field(random_combos(29, 1, 7)[0], 64)
+    values = grid.values
+    assert values.shape == grid.shape == (63, 63, 63)
+    for start, stop in [(0, 1), (5, 21), (62, 63)]:
+        assert np.array_equal(grid.rows(start, stop), values[start:stop])

@@ -19,8 +19,8 @@ from . import __version__
 from .bounds import FABER_KRAHN_RATIO, pleijel_cutoff, screen_candidates
 from .nodal import RESOLUTION_CAP, EigenCombo, count_nodal_domains, sweep_eigenspace
 from .spectrum import CUBE, BoxSpec, EigenvalueGroup, ModeTriple, enumerate_groups
-from .spectrum import product_nodal_count
-from .symmetry import group_parity, symmetric_index
+from .spectrum import counting_function, product_nodal_count
+from .symmetry import symmetric_indices
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,11 +93,18 @@ def _yes_no(key: str):
 
 
 def _cube_group(value: float) -> EigenvalueGroup:
-    """The cube's eigenvalue group at exactly ``value``."""
-    group = next((g for g in enumerate_groups(CUBE, value) if g.value == value), None)
-    if group is None:
+    """The cube's eigenvalue group at exactly ``value``, built without the modes below it."""
+    v = int(value) if float(value).is_integer() else 0
+    top = range(1, math.isqrt(max(v, 0)) + 1)
+    modes = tuple(
+        ModeTriple(l, m, n)
+        for l in top
+        for m in top
+        if (n := math.isqrt(max(v - l * l - m * m, 0))) and l * l + m * m + n * n == v
+    )
+    if not modes:
         raise ValueError(f"{value} is not a cube eigenvalue")
-    return group
+    return EigenvalueGroup(v, modes, counting_function(CUBE, v) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +200,12 @@ def build_screen(box: BoxSpec, lambda_max: float) -> dict:
     if not box.is_cube:
         raise ValueError("the screen's Faber-Krahn ratio and cutoff hold only on the cube")
     mu_root, lambda_cutoff = pleijel_cutoff()
+    screened = screen_candidates(box, lambda_max)
+    indices = symmetric_indices([rec.group for rec in screened])
     records = []
-    for rec in screen_candidates(box, lambda_max):
+    for rec in screened:
         group = rec.group
-        parity = group_parity(group)
-        si = symmetric_index(box, group.value, parity)
+        si = indices[group.value]
         records.append(
             {
                 "value": group.value,
@@ -205,7 +213,7 @@ def build_screen(box: BoxSpec, lambda_max: float) -> dict:
                 "k_max": group.k_max,
                 "ratio": rec.ratio,
                 "candidate": rec.fk_pass,
-                "parity": parity.value,
+                "parity": si.parity.value,
                 "j": si.j,
                 "bound": si.bound,
                 "symmetry_excluded": si.excludes,

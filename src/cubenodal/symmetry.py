@@ -9,7 +9,8 @@ l+m+n is odd, i.e. when the eigenvalue is odd.
 For an eigenfunction in either parity class whose eigenvalue is the j-th in
 that class, the nodal domains pair up under g (an even eigenfunction may
 additionally have g-invariant domains), which bounds the nodal count by 2j.
-If 2j < k_min the eigenvalue cannot be Courant sharp.
+If 2j < k_min the eigenvalue cannot be Courant sharp.  Every j comes from one
+ascending pass that counts the modes of each parity (``symmetric_indices``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "eigenspace_parity",
     "group_parity",
     "symmetric_index",
+    "symmetric_indices",
     "symmetry_excludes",
 ]
 
@@ -79,20 +81,32 @@ class SymmetricIndex:
         return self.bound < self.group.k_min
 
 
+def symmetric_indices(groups: list[EigenvalueGroup]) -> dict[float, SymmetricIndex]:
+    """Index of each single-parity group, keyed by value, from ``enumerate_groups`` output.
+
+    Counts go up per mode, so a group that mixes parities counts toward both
+    but gets no index of its own.
+    """
+    below = dict.fromkeys(Parity, 0)
+    indices = {}
+    for group in groups:
+        parities = [eigenspace_parity(m) for m in group.modes]
+        if len(set(parities)) == 1:
+            indices[group.value] = SymmetricIndex(group, parities[0], below[parities[0]] + 1)
+        for parity in parities:
+            below[parity] += 1
+    return indices
+
+
 def symmetric_index(box: BoxSpec, value: float, parity: Parity) -> SymmetricIndex:
     """Index of ``value`` within the stated parity subspace of the box."""
     groups = enumerate_groups(box, value)
-    target = next((g for g in groups if g.value == value), None)
-    if target is None:
+    if not groups or groups[-1].value != value:
         raise ValueError(f"{value} is not an eigenvalue of this box")
-    if group_parity(target) is not parity:
-        raise ValueError(
-            f"eigenspace of {value} is {group_parity(target).value}, not {parity.value}"
-        )
-    below = sum(
-        eigenspace_parity(m) is parity for g in groups if g.value < value for m in g.modes
-    )
-    return SymmetricIndex(target, parity, below + 1)
+    actual = group_parity(groups[-1])
+    if actual is not parity:
+        raise ValueError(f"eigenspace of {value} is {actual.value}, not {parity.value}")
+    return symmetric_indices(groups)[value]
 
 
 def symmetry_excludes(box: BoxSpec, group: EigenvalueGroup) -> bool:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubenodal import CUBE, BoxSpec, cli, nodal, pleijel_cutoff
+from cubenodal import CUBE, BoxSpec, cli, enumerate_groups, nodal, pleijel_cutoff
 from cubenodal.nodal import NodalCount, SweepResult, SweepSample
 from helpers import EIGENVALUE_TABLE
 
@@ -19,6 +19,7 @@ GOLDEN_REPORTS = [
     (["table", "--format", "csv"], "table_golden.csv"),
     (["screen"], "screen_golden.md"),
     (["screen", "--format", "csv"], "screen_golden.csv"),
+    (["screen", "--lambda-max", "300", "--format", "csv"], "screen_golden_300.csv"),
     (["verdict", "--samples", "6", "--resolution", "32", "--seed", "2"], "verdict_golden.md"),
 ]
 
@@ -221,6 +222,46 @@ def test_sweep_json_deterministic():
     assert first.stdout == second.stdout
     other = run_cli(args[:-3] + ["7", "--format", "json"])
     assert other.stdout != first.stdout
+
+
+def _enumerated_group(value):
+    return next(g for g in enumerate_groups(CUBE, value) if g.value == value)
+
+
+def test_cube_group_matches_enumeration():
+    groups = {g.value: g for g in enumerate_groups(CUBE, 300)}
+    for value in range(3, 301):
+        if value in groups:
+            group = cli._cube_group(value)
+            assert group == groups[value]
+            assert type(group.value) is int
+            assert cli._cube_group(float(value)) == groups[value]
+        else:
+            with pytest.raises(ValueError):
+                cli._cube_group(value)
+
+
+@pytest.mark.parametrize("value", [7, 11.5, 28, 28.0, 0, -3, float("nan"), float("inf")])
+def test_cube_group_refuses_non_eigenvalues(value):
+    # 28 = 4*7 is no sum of three positive squares.
+    with pytest.raises(ValueError, match="not a cube eigenvalue"):
+        cli._cube_group(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nodal", "--mode", "1,1,3", "--mode", "3,1,1", "--mode", "1,3,1",
+         "--coeffs", "0.1,0.1,0.8", "--resolution", "32"],
+        ["sweep", "--value", "11", "--samples", "8", "--resolution", "32", "--seed", "0",
+         "--format", "json"],
+    ],
+    ids=["nodal", "sweep"],
+)
+def test_reports_unchanged_by_the_direct_group(argv, capsys, monkeypatch):
+    direct = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_cube_group", _enumerated_group)
+    assert direct == run_main(argv, capsys)
 
 
 def test_sweep_value_must_be_eigenvalue(capsys):

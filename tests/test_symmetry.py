@@ -2,6 +2,10 @@ import pytest
 
 from cubenodal import (
     CUBE,
+    bounds,
+    cli,
+    spectrum,
+    symmetry,
     BoxSpec,
     ModeTriple,
     Parity,
@@ -9,8 +13,10 @@ from cubenodal import (
     enumerate_groups,
     group_parity,
     symmetric_index,
+    symmetric_indices,
     symmetry_excludes,
 )
+from helpers import brute_force_modes_upto
 
 
 def test_parity_of_modes():
@@ -78,3 +84,38 @@ def test_symmetric_index_consistent_with_subspace_count():
         si = symmetric_index(CUBE, group.value, parity)
         assert si.bound == 2 * si.j
         assert si.group == group
+
+
+def test_build_screen_enumerates_the_spectrum_once(monkeypatch):
+    calls = []
+
+    def counted(box, lambda_max):
+        calls.append(lambda_max)
+        return spectrum.enumerate_groups(box, lambda_max)
+
+    for module in (cli, bounds, symmetry):
+        monkeypatch.setattr(module, "enumerate_groups", counted)
+    screen = cli.build_screen(CUBE, 300)
+    assert calls == [300]
+
+    modes = brute_force_modes_upto(300)
+    values = sorted({l * l + m * m + n * n for l, m, n in modes})
+    assert [rec["value"] for rec in screen["records"]] == values
+    for rec in screen["records"]:
+        value = rec["value"]
+        # A mode is even under the antipodal map iff l+m+n is odd.
+        even = value % 2 == 1
+        lower = [(l, m, n) for l, m, n in modes if l * l + m * m + n * n < value]
+        below = sum((l + m + n) % 2 == even for l, m, n in lower)
+        assert rec["k_min"] == len(lower) + 1
+        assert rec["parity"] == ("even" if even else "odd")
+        assert (rec["j"], rec["bound"]) == (below + 1, 2 * below + 2)
+        assert rec["symmetry_excluded"] == (rec["bound"] < rec["k_min"])
+
+
+def test_symmetric_indices_skip_mixed_groups_but_count_their_modes():
+    box = BoxSpec(1, 1, 2)
+    indices = symmetric_indices(enumerate_groups(box, 12))
+    assert 10 not in indices
+    assert (indices[12].parity, indices[12].j) == (Parity.EVEN, 3)
+    assert indices[12] == symmetric_index(box, 12, Parity.EVEN)

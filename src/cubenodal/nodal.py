@@ -18,6 +18,11 @@ and then that plane is nodal).  Only i <= n/2 is sampled on such an axis.  A
 component that does not touch a mirror plane has a distinct mirror image, so
 it counts twice per such plane; a zero sample counts once for each of its
 images.  Axes with mixed parities, and every axis at odd n, are sampled whole.
+
+With no mirror, the antipodal map g: i -> n - i on every axis sends each mode
+to (-1)^(l+m+n+1) times itself.  If all active modes share that sign, only
+x-rows i <= n/2 are sampled at even n, and the whole grid's components are
+counted on a double cover of that half, glued across the plane i = n/2.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from scipy.stats import qmc
 
 from . import quadric
 from .spectrum import EigenvalueGroup, ModeTriple
+from .symmetry import Parity, eigenspace_parity
 
 __all__ = [
     "RESOLUTION_CAP",
@@ -53,6 +59,11 @@ RESOLUTION_CAP = 512
 SLAB_POINTS = 1 << 18
 
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
+
+
+def _g_sign(mode: ModeTriple) -> int:
+    """The sign a mode takes under g: (x,y,z) -> (pi-x, pi-y, pi-z)."""
+    return 1 if eigenspace_parity(mode) is Parity.EVEN else -1
 
 
 @dataclass(frozen=True)
@@ -80,9 +91,8 @@ class EigenCombo:
 
     def antipodal_image(self) -> "EigenCombo":
         """Coefficients of the composition with (x,y,z) -> (pi-x, pi-y, pi-z)."""
-        signs = ((-1.0) ** (m.l + m.m + m.n + 1) for m in self.group.modes)
         return EigenCombo(
-            self.group, tuple(s * x for s, x in zip(signs, self.coeffs))
+            self.group, tuple(_g_sign(m) * x for m, x in zip(self.group.modes, self.coeffs))
         )
 
 
@@ -98,7 +108,9 @@ class ScalarGrid:
 
     Per axis, ``mirrors`` is 0 for an axis sampled whole (i = 1..n-1), or +1
     (-1) for a field symmetric (antisymmetric) under i -> n - i, sampled on
-    i = 1..n/2 only.
+    i = 1..n/2 only.  With no mirror, ``inversion`` is +1 (-1) for a field
+    that g maps to itself (to minus itself), sampled on x-rows i = 1..n/2
+    only, with y and z whole; otherwise it is 0.
     """
 
     n: int
@@ -106,6 +118,7 @@ class ScalarGrid:
     planes: np.ndarray
     zs: np.ndarray
     mirrors: tuple[int, int, int] = (0, 0, 0)
+    inversion: int = 0
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """The samples of x-rows start..stop-1 (0-based), shape (stop-start, sy, sz)."""
@@ -156,34 +169,43 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
     grid keeps unevaluated (see ``ScalarGrid``).  Zeros on
     lattice-aligned nodal planes come out exactly 0.0 because every term
     carries an exact zero factor.  With ``quotient`` every axis on which the
-    active modes share a parity is sampled only up to its mirror plane
-    (see ``ScalarGrid``); the samples taken are those of the whole grid.
+    active modes share a parity is sampled only up to its mirror plane, or,
+    with no such axis, x only up to i = n/2 if the active modes share a
+    g-parity (see ``ScalarGrid``); the samples taken are those of the whole
+    grid.
     """
     if n < 8:
         raise ValueError(f"resolution must be at least 8, got {n}")
     table = _sine_table(n)
     active = [
-        (coeff, mode.as_tuple())
-        for coeff, mode in zip(combo.coeffs, combo.group.modes)
-        if coeff != 0.0
+        (coeff, mode) for coeff, mode in zip(combo.coeffs, combo.group.modes) if coeff != 0.0
     ]
     # sin(f (pi - x)) = (-1)^(f+1) sin(f x): all-odd indices on an axis give +1,
     # all-even -1.  At odd n no lattice plane lies on the mirror.
-    parities = [{mode[axis] % 2 for _, mode in active} for axis in range(3)]
-    mirrors = tuple(
-        2 * min(p) - 1 if quotient and n % 2 == 0 and len(p) == 1 else 0 for p in parities
-    )
+    even = quotient and n % 2 == 0
+    parities = [{mode.as_tuple()[axis] % 2 for _, mode in active} for axis in range(3)]
+    mirrors = tuple(2 * min(p) - 1 if even and len(p) == 1 else 0 for p in parities)
+    signs = {_g_sign(mode) for _, mode in active}
+    inversion = signs.pop() if even and not any(mirrors) and len(signs) == 1 else 0
     # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n).
-    ranges = [np.arange(1, n // 2 + 1 if m else n) for m in mirrors]
+    halved = (mirrors[0] or inversion, *mirrors[1:])
+    ranges = [np.arange(1, n // 2 + 1 if h else n) for h in halved]
     shape = tuple(len(r) for r in ranges)
     planes = np.empty((len(active), shape[0] * shape[1]))
     sz = np.empty((len(active), shape[2]))
-    for t, (coeff, (l, m, k)) in enumerate(active):
+    for t, (coeff, mode) in enumerate(active):
+        l, m, k = mode.as_tuple()
         sx = coeff * table[(l * ranges[0]) % (2 * n)]
         sy = table[(m * ranges[1]) % (2 * n)]
         planes[t] = np.multiply.outer(sx, sy).ravel()
         sz[t] = table[(k * ranges[2]) % (2 * n)]
-    return ScalarGrid(n, shape, planes, sz, mirrors)
+    return ScalarGrid(n, shape, planes, sz, mirrors, inversion)
+
+
+def _root(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
 
 
 class _Components:
@@ -193,7 +215,7 @@ class _Components:
     previous slab's, and labels that meet across the face between two slabs
     are merged in a union-find.  A component counts 2 for each mirror plane
     (the last index of a mirror axis) that it does not touch, which is its
-    number of images on the whole grid.
+    number of images on the whole grid; ``glued`` counts a half under g.
     """
 
     def __init__(self, mirror_axes: list[int]):
@@ -201,11 +223,6 @@ class _Components:
         self.parent = [0]  # union-find over the labels; 0 is the background
         self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes}
         self.last_row: np.ndarray | None = None
-
-    def root(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = a = self.parent[self.parent[a]]
-        return a
 
     def add(self, mask: np.ndarray) -> None:
         labels, count = ndimage.label(mask, structure=_FACE_STRUCTURE)
@@ -217,7 +234,7 @@ class _Components:
             first = labels[0].astype(np.int64) + base
             both = (self.last_row > 0) & (labels[0] > 0)
             for key in np.unique(self.last_row[both] << 32 | first[both]).tolist():
-                self.parent[self.root(key >> 32)] = self.root(key & 0xFFFFFFFF)
+                self.parent[_root(self.parent, key >> 32)] = _root(self.parent, key & 0xFFFFFFFF)
         for axis in self.mirror_axes:
             if axis == 0:
                 self.on_plane[0].clear()  # only the last slab reaches the x mirror plane
@@ -227,19 +244,39 @@ class _Components:
 
     def count(self) -> int:
         touched = Counter(
-            r for labels in self.on_plane.values() for r in {self.root(a) for a in labels}
+            r for labels in self.on_plane.values() for r in {_root(self.parent, a) for a in labels}
         )
-        roots = {self.root(a) for a in range(1, len(self.parent))}
+        roots = {_root(self.parent, a) for a in range(1, len(self.parent))}
         return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
+
+    def glued(self, image: "_Components") -> int:
+        """Components of the whole grid when it is the half i <= n/2 and its image under g.
+
+        The whole grid is a double cover of the half: the half itself, and
+        the half seen through g, where the components of ``image`` (the
+        half's mask of ε times this sign) take this sign.  The two sheets
+        meet only at the plane i = n/2 (``last_row``), which g maps to itself
+        by (j, k) -> (n-j, n-k); there each point p joins its component on
+        the first sheet with ``image``'s component at g p on the second.
+        """
+        offset = len(self.parent)
+        parent = [_root(self.parent, a) for a in range(offset)]
+        parent += [offset + _root(image.parent, b) for b in range(len(image.parent))]
+        here, there = self.last_row, image.last_row[::-1, ::-1]
+        both = (here > 0) & (there > 0)
+        for key in np.unique(here[both] << 32 | there[both]).tolist():
+            parent[_root(parent, key >> 32)] = _root(parent, offset + (key & 0xFFFFFFFF))
+        return len({_root(parent, a) for a in range(len(parent))}) - 2  # less the backgrounds
 
 
 def count_components(grid: ScalarGrid) -> NodalCount:
     """Face-connected components of the positive and negative sample sets.
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
-    its quotient.  An antisymmetric mirror maps each component onto one of
-    the other sign, so then the two signs split the total evenly.  The grid
-    is evaluated in slabs of at most ``SLAB_POINTS`` samples.
+    its quotient.  An antisymmetric mirror, or a g-odd field, maps each
+    component onto one of the other sign, so then the two signs split the
+    total evenly.  The grid is evaluated in slabs of at most ``SLAB_POINTS``
+    samples.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
@@ -258,8 +295,13 @@ def count_components(grid: ScalarGrid) -> NodalCount:
             zeros = 2 * total - zeros[..., -1] if m else total
         zero_rows.append(zeros)
     zeros = np.concatenate(zero_rows)
-    n_zero = 2 * zeros.sum() - zeros[-1] if grid.mirrors[0] else zeros.sum()
-    n_pos, n_neg = positive.count(), negative.count()
+    n_zero = 2 * zeros.sum() - zeros[-1] if grid.mirrors[0] or grid.inversion else zeros.sum()
+    if grid.inversion > 0:
+        n_pos, n_neg = positive.glued(positive), negative.glued(negative)
+    elif grid.inversion < 0:
+        n_pos = n_neg = positive.glued(negative)
+    else:
+        n_pos, n_neg = positive.count(), negative.count()
     if -1 in grid.mirrors:
         n_pos = n_neg = (n_pos + n_neg) // 2
     return NodalCount(n_pos, n_neg, int(n_zero), grid.n, False)

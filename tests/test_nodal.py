@@ -6,11 +6,14 @@ import pytest
 
 from cubenodal import (
     CUBE,
+    BoxSpec,
     EigenCombo,
     ModeTriple,
+    Parity,
     count_components,
     count_nodal_domains,
     enumerate_groups,
+    group_parity,
     predict_components,
     product_nodal_count,
     reduce_to_quadric,
@@ -233,8 +236,8 @@ def test_product_count_matches_grid_for_general_box_idea():
         assert count.total == math.prod(triple)
 
 
-def random_combos(value, count, seed):
-    group = group_at(value)
+def random_combos(value, count, seed, box=CUBE):
+    group = next(g for g in enumerate_groups(box, value) if g.value == value)
     rng = np.random.default_rng(seed)
     combos = []
     for _ in range(count):
@@ -256,23 +259,27 @@ def full_grid_count(combo, n0, cap):
         prev, n = current, 2 * n
 
 
-# (combinations, n0, cap, mirrors of the grid at 2*n0)
+# (combinations, n0, cap, mirrors and inversion of the grid at 2*n0)
 QUOTIENT_CASES = {
-    "lambda11-symmetric": (random_combos(11, 6, 1), 32, 128, (1, 1, 1)),
-    "lambda12-antisymmetric": (random_combos(12, 2, 2), 16, 64, (-1, -1, -1)),
-    "lambda24-antisymmetric": (random_combos(24, 4, 3), 16, 64, (-1, -1, -1)),
-    "mode123-mixed": ([pure_combo(1, 2, 3)], 16, 64, (1, -1, 1)),
-    "lambda6-no-parity": (random_combos(6, 4, 4), 16, 64, (0, 0, 0)),
-    "lambda14-no-parity": (random_combos(14, 4, 5), 16, 64, (0, 0, 0)),
-    "n0-17-odd-then-even": (random_combos(11, 3, 6), 17, 68, (1, 1, 1)),
+    "lambda11-symmetric": (random_combos(11, 6, 1), 32, 128, (1, 1, 1), 0),
+    "lambda12-antisymmetric": (random_combos(12, 2, 2), 16, 64, (-1, -1, -1), 0),
+    "lambda24-antisymmetric": (random_combos(24, 4, 3), 16, 64, (-1, -1, -1), 0),
+    "mode123-mixed": ([pure_combo(1, 2, 3)], 16, 64, (1, -1, 1), 0),
+    "lambda6-no-parity": (random_combos(6, 4, 4), 16, 64, (0, 0, 0), -1),
+    "lambda14-no-parity": (random_combos(14, 4, 5), 16, 64, (0, 0, 0), -1),
+    "lambda9-g-even": (random_combos(9, 4, 8), 16, 64, (0, 0, 0), 1),
+    "lambda17-g-even": (random_combos(17, 4, 9), 16, 64, (0, 0, 0), 1),
+    "box112-lambda10-mixed-g": (random_combos(10, 2, 10, BoxSpec(1, 1, 2)), 16, 64, (0, 0, 0), 0),
+    "n0-17-odd-then-even": (random_combos(11, 3, 6), 17, 68, (1, 1, 1), 0),
 }
 
 
 @pytest.mark.parametrize("case", list(QUOTIENT_CASES))
 def test_quotient_count_matches_full_grid(case):
-    combos, n0, cap, mirrors = QUOTIENT_CASES[case]
+    combos, n0, cap, mirrors, inversion = QUOTIENT_CASES[case]
     for combo in combos:
-        assert sample_field(combo, 2 * n0, quotient=True).mirrors == mirrors
+        grid = sample_field(combo, 2 * n0, quotient=True)
+        assert (grid.mirrors, grid.inversion) == (mirrors, inversion)
         count = count_nodal_domains(combo, n0, cap)
         assert count == full_grid_count(combo, n0, cap), combo.coeffs
         n = n0
@@ -280,7 +287,7 @@ def test_quotient_count_matches_full_grid(case):
             full = sample_field(combo, n)
             quotient = sample_field(combo, n, quotient=True)
             if n % 2:
-                assert quotient.mirrors == (0, 0, 0)
+                assert (quotient.mirrors, quotient.inversion) == ((0, 0, 0), 0)
             # The quotient's samples are bitwise those of the full grid's corner.
             corner = tuple(slice(0, size) for size in quotient.values.shape)
             assert np.array_equal(quotient.values, full.values[corner])
@@ -292,7 +299,7 @@ def test_quotient_count_matches_full_grid(case):
 def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     # Every grid here fits one slab by default; one x-row per slab makes each
     # component cross slab faces, and the counts must not change.
-    combos, n0, _, _ = QUOTIENT_CASES[case]
+    combos, n0, _, _, _ = QUOTIENT_CASES[case]
     grids = [
         sample_field(combo, n, quotient)
         for combo in combos
@@ -303,6 +310,17 @@ def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     assert all(grid.shape[0] * grid.shape[1] * grid.shape[2] <= nodal.SLAB_POINTS for grid in grids)
     monkeypatch.setattr(nodal, "SLAB_POINTS", 1)
     assert [count_components(grid) for grid in grids] == whole
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_full_grids_are_bitwise_antipodal(n):
+    # g sends the sample at (i, j, k) to the one at (n-i, n-j, n-k), exactly
+    # epsilon times it, which the quotient by g takes for granted.
+    for group in enumerate_groups(CUBE, 48):
+        epsilon = 1.0 if group_parity(group) is Parity.EVEN else -1.0
+        for combo in random_combos(group.value, 2, int(group.value)):
+            values = sample_field(combo, n).values
+            assert np.array_equal(values, epsilon * values[::-1, ::-1, ::-1]), group.value
 
 
 def test_rows_are_bitwise_slices_of_values():

@@ -21,7 +21,6 @@ __all__ = [
     "faber_krahn_threshold",
     "lattice_lower_bound",
     "pleijel_cutoff",
-    "pleijel_asymptotic_ratio",
     "screen_candidates",
 ]
 
@@ -86,11 +85,6 @@ def pleijel_cutoff(tol: float = 1e-6) -> tuple[float, float]:
     mu = 0.5 * (lo + hi)
     mu -= _cutoff_poly(mu) / _cutoff_poly_deriv(mu)
     return mu, mu * mu
-
-
-def pleijel_asymptotic_ratio() -> float:
-    """Asymptotic upper bound 9/(2 pi^2) < 1 on (nodal count)/(index)."""
-    return 9.0 / (2.0 * math.pi**2)
 
 
 @dataclass(frozen=True)

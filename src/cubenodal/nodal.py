@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import quadric
 from .spectrum import EigenvalueGroup, ModeTriple
@@ -120,10 +119,18 @@ class ScalarGrid:
     mirrors: tuple[int, int, int] = (0, 0, 0)
     inversion: int = 0
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The samples of x-rows start..stop-1 (0-based), shape (stop-start, sy, sz)."""
+    def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples of x-rows start..stop-1 (0-based), shape (stop-start, sy, sz).
+
+        With ``out``, a 1-d float64 array of at least that many elements, the
+        samples are written into its start and the result is a view of it;
+        they are bitwise those returned without ``out``.
+        """
         _, sy, sz = self.shape
-        return (self.planes[:, start * sy : stop * sy].T @ self.zs).reshape(-1, sy, sz)
+        factors = self.planes[:, start * sy : stop * sy].T
+        if out is not None:
+            out = out[: factors.shape[0] * sz].reshape(-1, sz)
+        return np.matmul(factors, self.zs, out=out).reshape(-1, sy, sz)
 
     @property
     def values(self) -> np.ndarray:
@@ -211,9 +218,12 @@ def _root(parent: list[int], a: int) -> int:
 class _Components:
     """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
-    Each slab is labelled on its own, its labels numbered on from the
-    previous slab's, and labels that meet across the face between two slabs
-    are merged in a union-find.  A component counts 2 for each mirror plane
+    Each slab is labelled on its own into a caller's buffer, its labels
+    numbered on from the previous slab's, and labels that meet across the
+    face between two slabs are merged in a union-find.  Nothing kept refers
+    to the buffer: the face a slab shares with the next (``last_row``) and
+    the labels on mirror planes are copied out, so the buffer is free for
+    reuse once ``add`` returns.  A component counts 2 for each mirror plane
     (the last index of a mirror axis) that it does not touch, which is its
     number of images on the whole grid; ``glued`` counts a half under g.
     """
@@ -224,8 +234,9 @@ class _Components:
         self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes}
         self.last_row: np.ndarray | None = None
 
-    def add(self, mask: np.ndarray) -> None:
-        labels, count = ndimage.label(mask, structure=_FACE_STRUCTURE)
+    def add(self, mask: np.ndarray, labels: np.ndarray) -> None:
+        """Label the slab ``mask`` into ``labels``, an int32 array of its shape."""
+        count = ndimage.label(mask, structure=_FACE_STRUCTURE, output=labels)
         base = len(self.parent) - 1
         self.parent.extend(range(base + 1, base + count + 1))
         if self.last_row is not None:
@@ -269,27 +280,48 @@ class _Components:
         return len({_root(parent, a) for a in range(len(parent))}) - 2  # less the backgrounds
 
 
+# The slab workspace of count_components: samples, the masks > 0, < 0 and
+# == 0, and labels.  It is allocated on first use, sized to SLAB_POINTS, and
+# kept for the life of the process, so every later count reuses its pages
+# instead of allocating (and faulting in) its slabs afresh.  count_components
+# is therefore not reentrant across threads.
+_workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _slab_workspace(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The workspace, grown first if it holds fewer than ``points`` samples."""
+    global _workspace
+    if _workspace is None or len(_workspace[0]) < points:
+        size = max(SLAB_POINTS, points)
+        _workspace = (np.empty(size), np.empty((3, size), bool), np.empty(size, np.int32))
+    return _workspace
+
+
 def count_components(grid: ScalarGrid) -> NodalCount:
     """Face-connected components of the positive and negative sample sets.
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
     its quotient.  An antisymmetric mirror, or a g-odd field, maps each
     component onto one of the other sign, so then the two signs split the
-    total evenly.  The grid is evaluated in slabs of at most ``SLAB_POINTS``
-    samples.
+    total evenly.  The grid is evaluated, compared and labelled in slabs of
+    at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
+    written into one workspace that every count reuses.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
+    samples, masks, labels = _slab_workspace(step * sy * sz)
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
     positive, negative = _Components(mirror_axes), _Components(mirror_axes)
     zero_rows = []
     for start in range(0, sx, step):
-        v = grid.rows(start, min(start + step, sx))
-        positive.add(v > 0.0)
-        negative.add(v < 0.0)
+        v = grid.rows(start, min(start + step, sx), out=samples)
+        above, below, zeros = (mask[: v.size].reshape(v.shape) for mask in masks)
+        slab_labels = labels[: v.size].reshape(v.shape)
+        positive.add(np.greater(v, 0.0, out=above), slab_labels)
+        negative.add(np.less(v, 0.0, out=below), slab_labels)
         # Zero samples, weighted by their number of images: reduce one axis
         # at a time, counting the mirror plane once and every other plane twice.
-        zeros = v == 0.0
+        np.equal(v, 0.0, out=zeros)
         for m in grid.mirrors[:0:-1]:
             total = zeros.sum(axis=-1)
             zeros = 2 * total - zeros[..., -1] if m else total
@@ -339,6 +371,8 @@ def sphere_samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
     Scrambled Halton points mapped through the inverse normal CDF and
     normalized; identical for identical (dim, n_samples, seed).
     """
+    from scipy.stats import qmc  # imported here: it is most of the package's import time
+
     engine = qmc.Halton(d=dim, scramble=True, seed=seed)
     u = engine.random(n_samples)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))

@@ -13,8 +13,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ModeTriple",
     "BoxSpec",
@@ -143,7 +141,12 @@ def enumerate_groups(box: BoxSpec, lambda_max: float) -> list[EigenvalueGroup]:
 
 
 def counting_function(box: BoxSpec, lam: float) -> int:
-    """N(lam): number of modes with eigenvalue strictly below lam."""
+    """N(lam): number of modes with eigenvalue strictly below lam.
+
+    For each (l, m) the modes below lam are n = 1..k for one k, since the
+    float sum a*l*l + b*m*m + g*n*n only grows with n; k is found from a
+    square root and then corrected by the comparison itself.  O(lam) time.
+    """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     a, b, g = box.alpha, box.beta, box.gamma
@@ -152,12 +155,18 @@ def counting_function(box: BoxSpec, lam: float) -> int:
     l_top = _axis_limit(a, b + g, lam)
     m_top = _axis_limit(b, a + g, lam)
     n_top = _axis_limit(g, a + b, lam)
-    mv = b * np.arange(1, m_top + 1, dtype=float) ** 2
-    nv = g * np.arange(1, n_top + 1, dtype=float) ** 2
     total = 0
     for l in range(1, l_top + 1):
-        rows = (a * l * l + mv[:, None]) + nv[None, :]
-        total += int((rows < lam).sum())
+        for m in range(1, m_top + 1):
+            rest = a * l * l + b * (m * m)
+            k = min(n_top, int(math.sqrt(max(lam - rest, 0.0) / g)))
+            while k > 0 and not rest + g * (k * k) < lam:
+                k -= 1
+            while k < n_top and rest + g * ((k + 1) * (k + 1)) < lam:
+                k += 1
+            if k == 0:
+                break  # rest only grows with m
+            total += k
     return total
 
 

@@ -9,7 +9,6 @@ from cubenodal import (
     enumerate_groups,
     faber_krahn_threshold,
     lattice_lower_bound,
-    pleijel_asymptotic_ratio,
     pleijel_cutoff,
     screen_candidates,
 )
@@ -119,13 +118,6 @@ def test_screening_complete_above_cutoff():
     for rec in screen_candidates(CUBE, 500):
         if rec.group.value > cutoff:
             assert not rec.fk_pass, rec.group.value
-
-
-def test_asymptotic_ratio_value():
-    ratio = pleijel_asymptotic_ratio()
-    assert ratio == pytest.approx(9 / (2 * math.pi**2))
-    assert ratio == pytest.approx(0.45594, abs=1e-5)
-    assert ratio < 1
 
 
 def test_candidate_equals_fk_pass():

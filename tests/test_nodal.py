@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,3 +332,79 @@ def test_rows_are_bitwise_slices_of_values():
     assert values.shape == grid.shape == (63, 63, 63)
     for start, stop in [(0, 1), (5, 21), (62, 63)]:
         assert np.array_equal(grid.rows(start, stop), values[start:stop])
+
+
+def test_rows_into_a_buffer_are_bitwise_the_same():
+    grid = sample_field(random_combos(29, 1, 7)[0], 64)
+    buf = np.full(63 * 63 * 63 + 5, np.nan)
+    for start, stop in [(0, 1), (5, 21), (0, 63)]:
+        rows = grid.rows(start, stop, out=buf)
+        assert np.shares_memory(rows, buf)
+        assert np.array_equal(rows, grid.rows(start, stop))
+
+
+# Grids named by (eigenvalue, coefficients, n), counted with quotient=True:
+# eigenvalue 11 at 256 (mirror quotient, several slabs), a census-sized
+# eigenvalue-14 grid at 32 (antipodal quotient), and eigenvalue 6 at odd n
+# (mixed parities, sampled whole).
+HISTORY_GRIDS = [
+    (11, (0.6, -0.3, 0.74), 256),
+    (14, (0.5, -0.2, 0.1, 0.7, -0.3, 0.35), 32),
+    (6, (0.4, -0.8, 0.45), 33),
+]
+COUNT_FIRST = """
+from cubenodal import CUBE, EigenCombo, count_components, enumerate_groups, sample_field
+value, coeffs, n = {!r}
+group = next(g for g in enumerate_groups(CUBE, value) if g.value == value)
+print(repr(count_components(sample_field(EigenCombo(group, coeffs), n, quotient=True))))
+"""
+
+
+def count_history_grid(value, coeffs, n):
+    combo = EigenCombo(group_at(value), coeffs)
+    return repr(count_components(sample_field(combo, n, quotient=True)))
+
+
+def test_counts_do_not_depend_on_what_was_counted_before():
+    # Every count writes into one workspace kept across counts; a grid
+    # counted after others must count as it does first in a fresh process.
+    in_turn = [count_history_grid(*key) for key in HISTORY_GRIDS + HISTORY_GRIDS[:1]]
+    assert in_turn[3] == in_turn[0]
+    for key, counted in zip(HISTORY_GRIDS, in_turn):
+        fresh = subprocess.run(
+            [sys.executable, "-c", COUNT_FIRST.format(key)],
+            capture_output=True, text=True, check=True,
+        )
+        assert fresh.stdout.strip() == counted, key
+
+
+def test_a_warm_count_allocates_no_slab():
+    grid = sample_field(EigenCombo(group_at(11), (0.6, -0.3, 0.74)), 256, quotient=True)
+    assert math.prod(grid.shape) > 4 * nodal.SLAB_POINTS
+    expected = count_components(grid)
+    tracemalloc.start()
+    try:
+        assert count_components(grid) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nodal.SLAB_POINTS * 8, peak
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    # scipy.stats is most of the package's import time; only sphere_samples needs it.
+    code = "import sys, cubenodal.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_sweep_points_are_unchanged():
+    # The points as drawn when scipy.stats was imported with the package.
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    u = qmc.Halton(d=3, scramble=True, seed=7).random(3)
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    expected = z / np.linalg.norm(z, axis=1)[:, None]
+    result = sweep_eigenspace(group_at(11), 3, 16, seed=7)
+    assert [s.coeffs for s in result.samples] == [tuple(row) for row in expected]

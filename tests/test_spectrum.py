@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from cubenodal import (
     enumerate_groups,
     product_nodal_count,
 )
+from cubenodal.spectrum import _axis_limit
 from helpers import EIGENVALUE_TABLE, brute_force_count_below
 
 
@@ -103,6 +105,33 @@ def test_counting_function_general_box_oracle():
     weights = (box.alpha, box.beta, box.gamma)
     for lam in (8.0, 13.5, 40.0, 77.25):
         assert counting_function(box, lam) == brute_force_count_below(lam, weights)
+
+
+def dense_counting_function(box, lam):
+    """The former numpy counting function: a dense (m, n) comparison per l."""
+    a, b, g = box.alpha, box.beta, box.gamma
+    if lam <= a + b + g:
+        return 0
+    mv = b * np.arange(1, _axis_limit(b, a + g, lam) + 1, dtype=float) ** 2
+    nv = g * np.arange(1, _axis_limit(g, a + b, lam) + 1, dtype=float) ** 2
+    return sum(
+        int(((a * l * l + mv[:, None]) + nv[None, :] < lam).sum())
+        for l in range(1, _axis_limit(a, b + g, lam) + 1)
+    )
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1.0, 1.5, 2.25)])
+def test_counting_function_matches_the_dense_formula(weights):
+    # Bit for bit, also at lambdas that are eigenvalues (the bound is open)
+    # and at the floats next to them.
+    box = BoxSpec(*weights)
+    values = [g.value for g in enumerate_groups(box, 120)]
+    values += [g.value for g in enumerate_groups(box, 2000)[-5:]]
+    lams = [3.0, 5.5, 77.25, 1234.5]
+    for value in values:
+        lams += [value, math.nextafter(value, 0.0), math.nextafter(value, math.inf)]
+    for lam in lams:
+        assert counting_function(box, lam) == dense_counting_function(box, lam), lam
 
 
 def test_weyl_normalization_stays_in_band():

@@ -365,16 +365,54 @@ def count_nodal_domains(
         prev, n = current, 2 * n
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _scrambled_halton(dim: int, n_samples: int, seed: int) -> np.ndarray:
+    """Owen's random-permutation Halton points in [0, 1)^dim (arXiv:1706.02808).
+
+    Axis j runs the van der Corput sequence in the j-th prime base, with the
+    k-th digit of every index sent through the k-th of a set of random
+    permutations of the digits.  A base gets one permutation per digit a
+    double resolves (base**-k > 2**-54), the rows shuffled in turn by one
+    generator.  Bases, shuffles and the order of the sums are scipy's, so the
+    points are bitwise ``qmc.Halton(d=dim, scramble=True, seed=seed).random(n_samples)``.
+    """
+    rng = np.random.default_rng(seed)
+    points = np.zeros((n_samples, dim))
+    for axis, base in enumerate(_first_primes(dim)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        column, digits, top = points[:, axis], np.arange(n_samples), n_samples - 1
+        weight = 1.0 / base
+        for perm in perms:
+            if top:
+                digits, low = np.divmod(digits, base)
+                column += weight * perm[low]
+                top //= base
+            else:  # every index is out of digits: each adds the same term
+                column += weight * perm[0]
+            weight /= base
+    return points
+
+
 def sphere_samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy points on the unit sphere in R^dim.
 
-    Scrambled Halton points mapped through the inverse normal CDF and
-    normalized; identical for identical (dim, n_samples, seed).
+    Scrambled Halton points (`_scrambled_halton`) mapped through the inverse
+    normal CDF and normalized; identical for identical (dim, n_samples, seed).
+    The seed must be a non-negative integer.
     """
-    from scipy.stats import qmc  # imported here: it is most of the package's import time
-
-    engine = qmc.Halton(d=dim, scramble=True, seed=seed)
-    u = engine.random(n_samples)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    u = _scrambled_halton(dim, n_samples, seed)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12

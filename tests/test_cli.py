@@ -224,6 +224,22 @@ def test_sweep_json_deterministic():
     assert other.stdout != first.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--value", "11", "--samples", "2", "--resolution", "16", "--seed", "-1"],
+        ["verdict", "--samples", "2", "--resolution", "16", "--seed", "-3"],
+    ],
+    ids=["sweep", "verdict"],
+)
+def test_negative_seed_is_refused(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "seed" in captured.err and argv[-1] in captured.err
+
+
 def _enumerated_group(value):
     return next(g for g in enumerate_groups(CUBE, value) if g.value == value)
 

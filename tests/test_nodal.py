@@ -392,10 +392,32 @@ def test_a_warm_count_allocates_no_slab():
 
 
 def test_importing_the_cli_leaves_out_scipy_stats():
-    # scipy.stats is most of the package's import time; only sphere_samples needs it.
-    code = "import sys, cubenodal.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # scipy.stats would be most of the package's import time, and no command needs
+    # it: the sweep draws its Halton points with nodal._scrambled_halton.
+    code = (
+        "import contextlib, io, sys\n"
+        "from cubenodal import cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        "for argv in (['table'], ['screen'], ['nodal', '--mode', '1,1,1', '--coeffs', '1'],\n"
+        "             ['sweep', '--value', '11', '--samples', '2', '--resolution', '16'],\n"
+        "             ['verdict', '--samples', '2', '--resolution', '16']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'scipy.stats' not in sys.modules, argv\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 13), 25])
+def test_scrambled_halton_is_scipys_bit_for_bit(dim):
+    from scipy.stats import qmc
+
+    for seed in (0, 7, 2**32 - 1, 2**64):
+        for n in (1, 2, 7, 500, 1001):
+            expected = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+            points = nodal._scrambled_halton(dim, n, seed)
+            assert points.shape == expected.shape
+            assert points.tobytes() == expected.tobytes(), (seed, n)
 
 
 def test_sweep_points_are_unchanged():

@@ -134,6 +134,7 @@ class ScalarGrid:
 
     @property
     def values(self) -> np.ndarray:
+        """The whole array at once; only the tests' oracles read it."""
         return self.rows(0, self.shape[0])
 
 
@@ -215,23 +216,31 @@ def _root(parent: list[int], a: int) -> int:
     return a
 
 
+def _join(parent: list[int], here: np.ndarray, there: np.ndarray, offset: int) -> None:
+    """Merge label ``here[p]`` with label ``offset + there[p]`` wherever both are labels."""
+    # Pairs (a, b) of labels facing each other, packed as a << 32 | b so that
+    # np.unique drops the repeats.
+    both = (here > 0) & (there > 0)
+    for key in np.unique(here[both] << 32 | there[both]).tolist():
+        parent[_root(parent, key >> 32)] = _root(parent, offset + (key & 0xFFFFFFFF))
+
+
 class _Components:
     """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
     Each slab is labelled on its own into a caller's buffer, its labels
-    numbered on from the previous slab's, and labels that meet across the
-    face between two slabs are merged in a union-find.  Nothing kept refers
-    to the buffer: the face a slab shares with the next (``last_row``) and
-    the labels on mirror planes are copied out, so the buffer is free for
-    reuse once ``add`` returns.  A component counts 2 for each mirror plane
-    (the last index of a mirror axis) that it does not touch, which is its
-    number of images on the whole grid; ``glued`` counts a half under g.
+    numbered on from the previous slab's, and ``_join`` merges the labels
+    that meet across the face between two slabs.  Nothing kept refers to the
+    buffer: the face a slab shares with the next (``last_row``) and the
+    labels on the y and z mirror planes are copied out, so the buffer is free
+    for reuse once ``add`` returns.  The x mirror plane, if any, is the last
+    ``last_row``.
     """
 
     def __init__(self, mirror_axes: list[int]):
         self.mirror_axes = mirror_axes
         self.parent = [0]  # union-find over the labels; 0 is the background
-        self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes}
+        self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes if axis}
         self.last_row: np.ndarray | None = None
 
     def add(self, mask: np.ndarray, labels: np.ndarray) -> None:
@@ -240,44 +249,36 @@ class _Components:
         base = len(self.parent) - 1
         self.parent.extend(range(base + 1, base + count + 1))
         if self.last_row is not None:
-            # Pairs (a, b) of labels facing each other across the slab face,
-            # packed as a << 32 | b so that np.unique drops the repeats.
-            first = labels[0].astype(np.int64) + base
-            both = (self.last_row > 0) & (labels[0] > 0)
-            for key in np.unique(self.last_row[both] << 32 | first[both]).tolist():
-                self.parent[_root(self.parent, key >> 32)] = _root(self.parent, key & 0xFFFFFFFF)
-        for axis in self.mirror_axes:
-            if axis == 0:
-                self.on_plane[0].clear()  # only the last slab reaches the x mirror plane
+            _join(self.parent, self.last_row, labels[0], base)
+        for axis, on_plane in self.on_plane.items():
             plane = np.unique(np.take(labels, -1, axis=axis))
-            self.on_plane[axis].update((plane[plane > 0] + base).tolist())
+            on_plane.update((plane[plane > 0] + base).tolist())
         self.last_row = np.where(labels[-1] > 0, labels[-1] + base, 0).astype(np.int64)
 
-    def count(self) -> int:
-        touched = Counter(
-            r for labels in self.on_plane.values() for r in {_root(self.parent, a) for a in labels}
-        )
-        roots = {_root(self.parent, a) for a in range(1, len(self.parent))}
-        return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
+    def count(self, image: "_Components | None" = None) -> int:
+        """Components of the whole grid; this object is left as it is.
 
-    def glued(self, image: "_Components") -> int:
-        """Components of the whole grid when it is the half i <= n/2 and its image under g.
-
-        The whole grid is a double cover of the half: the half itself, and
-        the half seen through g, where the components of ``image`` (the
-        half's mask of ε times this sign) take this sign.  The two sheets
-        meet only at the plane i = n/2 (``last_row``), which g maps to itself
-        by (j, k) -> (n-j, n-k); there each point p joins its component on
-        the first sheet with ``image``'s component at g p on the second.
+        A component counts 2 for each mirror plane (the last index of a
+        mirror axis) that it does not touch, which is its number of images on
+        the whole grid.  With ``image``, the half i <= n/2's mask of ε times
+        this sign, the whole grid is a double cover of the half: this sheet,
+        and ``image``'s seen through g, where its components take this sign.
+        The sheets meet only at the plane i = n/2 (``last_row``), which g maps
+        to itself by (j, k) -> (n-j, n-k); there ``_join`` merges each point's
+        component on this sheet with ``image``'s component at g p.
         """
-        offset = len(self.parent)
-        parent = [_root(self.parent, a) for a in range(offset)]
-        parent += [offset + _root(image.parent, b) for b in range(len(image.parent))]
-        here, there = self.last_row, image.last_row[::-1, ::-1]
-        both = (here > 0) & (there > 0)
-        for key in np.unique(here[both] << 32 | there[both]).tolist():
-            parent[_root(parent, key >> 32)] = _root(parent, offset + (key & 0xFFFFFFFF))
-        return len({_root(parent, a) for a in range(len(parent))}) - 2  # less the backgrounds
+        parent = list(self.parent)
+        offset = len(parent)
+        planes = list(self.on_plane.values())
+        if 0 in self.mirror_axes:
+            planes.append(np.unique(self.last_row[self.last_row > 0]).tolist())
+        if image is not None:
+            parent += [offset + a for a in image.parent]
+            _join(parent, self.last_row, image.last_row[::-1, ::-1], offset)
+        touched = Counter(r for plane in planes for r in {_root(parent, a) for a in plane})
+        # Less the backgrounds: 0, and the image sheet's at offset.
+        roots = {_root(parent, a) for a in range(len(parent))} - {0, offset}
+        return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
 
 
 # The slab workspace of count_components: samples, the masks > 0, < 0 and
@@ -328,12 +329,9 @@ def count_components(grid: ScalarGrid) -> NodalCount:
         zero_rows.append(zeros)
     zeros = np.concatenate(zero_rows)
     n_zero = 2 * zeros.sum() - zeros[-1] if grid.mirrors[0] or grid.inversion else zeros.sum()
-    if grid.inversion > 0:
-        n_pos, n_neg = positive.glued(positive), negative.glued(negative)
-    elif grid.inversion < 0:
-        n_pos = n_neg = positive.glued(negative)
-    else:
-        n_pos, n_neg = positive.count(), negative.count()
+    # Each sign's image sheet under g is the half's mask of ε times that sign.
+    images = {0: (None, None), 1: (positive, negative), -1: (negative, positive)}[grid.inversion]
+    n_pos, n_neg = positive.count(images[0]), negative.count(images[1])
     if -1 in grid.mirrors:
         n_pos = n_neg = (n_pos + n_neg) // 2
     return NodalCount(n_pos, n_neg, int(n_zero), grid.n, False)

@@ -41,15 +41,11 @@ LAMBDA11_MODES = (ModeTriple(1, 1, 3), ModeTriple(1, 3, 1), ModeTriple(3, 1, 1))
 
 @dataclass(frozen=True)
 class QuadricCoeffs:
-    """Coefficients of 4(A u^2 + B v^2 + C w^2) - (A + B + C) = 0.
-
-    ``source`` keeps the originating sine-combination coefficients (a, b, c).
-    """
+    """Coefficients of 4(A u^2 + B v^2 + C w^2) - (A + B + C) = 0."""
 
     A: float
     B: float
     C: float
-    source: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if self.A == 0.0 and self.B == 0.0 and self.C == 0.0:
@@ -90,7 +86,7 @@ def reduce_to_quadric(a: float, b: float, c: float) -> QuadricCoeffs:
     the u^2 coefficient comes from the sin 3x term, so (A, B, C) = (b, c, a).
     The coefficient sum is preserved.  ``QuadricCoeffs`` refuses (0, 0, 0).
     """
-    return QuadricCoeffs(A=b, B=c, C=a, source=(a, b, c))
+    return QuadricCoeffs(A=b, B=c, C=a)
 
 
 def classify(q: QuadricCoeffs) -> QuadricClass:

@@ -32,7 +32,6 @@ def test_reduction_permutation_rule():
     assert (q.A, q.B, q.C) == (0.0, 0.0, 1.0)
     q = reduce_to_quadric(0.2, 0.9, -0.1)
     assert (q.A, q.B, q.C) == (0.9, -0.1, 0.2)
-    assert q.source == (0.2, 0.9, -0.1)
 
 
 def test_reduction_rejects_zero_vector():

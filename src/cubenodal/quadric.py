@@ -53,7 +53,12 @@ class QuadricCoeffs:
 
     @property
     def coefficient_sum(self) -> float:
-        return self.A + self.B + self.C
+        """A + B + C, correctly rounded so it does not hang on axis order.
+
+        A plain left-to-right sum can absorb a tiny coefficient in one order
+        and keep it in another, turning a hyperboloid into a cone.
+        """
+        return math.fsum((self.A, self.B, self.C))
 
 
 class QuadricClass(enum.Enum):
@@ -151,8 +156,8 @@ def predict_components(q: QuadricCoeffs) -> ComponentPrediction:
         return ComponentPrediction(3, "cylinder hyperbola")
     # Nondegenerate central quadrics: rescale so the coefficient sum is 1.
     s = q.coefficient_sum
-    t = sorted((q.A / s, q.B / s, q.C / s))
     if cls is QuadricClass.ELLIPSOID:
+        t = sorted((q.A / s, q.B / s, q.C / s))
         ab = t[0] + t[1]
         if ab > 0.25:
             return ComponentPrediction(2, "ellipsoid interior")
@@ -160,7 +165,8 @@ def predict_components(q: QuadricCoeffs) -> ComponentPrediction:
         return ComponentPrediction(3, "ellipsoid edge-cut", w0=w0)
     if cls is QuadricClass.HYPERBOLOID_ONE_SHEET:
         # Two positive transverse coefficients a <= b and one negative, sum 1.
-        a = min(x for x in t if x > 0)
+        # Pick them by sign before dividing: a subnormal one may divide to 0.
+        a = min(x / s for x in (q.A, q.B, q.C) if (x > 0) == (s > 0))
         if a <= 0.25:
             return ComponentPrediction(3, "one-sheet a<=1/4")
         return ComponentPrediction(2, "one-sheet a>1/4")

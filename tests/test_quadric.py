@@ -142,13 +142,14 @@ def test_counts_always_in_2_3_4():
     ),
 )
 @example((1.54e-303, 1.0, -2.24e-26), -42.0)  # unscaled A*B*C underflows to -0.0
+@example((1.0, -3.0, -5e-324), -1.5)  # the subnormal A/s underflows to 0
 def test_scale_and_sign_invariance(abc, t):
     a, b, c = abc
     base = predict_components(reduce_to_quadric(a, b, c))
     scaled = predict_components(reduce_to_quadric(t * a, t * b, t * c))
     # Guard against float sign flips of a+b+c under scaling near the cone,
     # and against a subnormal coefficient that underflows to 0 when scaled.
-    s, st_ = a + b + c, t * a + t * b + t * c
+    s, st_ = math.fsum(abc), math.fsum((t * a, t * b, t * c))
     if (s == 0) != (st_ == 0):
         return
     if any((v == 0) != (t * v == 0) for v in abc):
@@ -168,6 +169,7 @@ def test_scale_and_sign_invariance(abc, t):
     ).filter(lambda t: max(abs(v) for v in t) > 1e-2),
     st.permutations([0, 1, 2]),
 )
+@example((2.0, -2.0, 1.4e-98), [2, 1, 0])  # -2 + 1.4e-98 + 2 rounds to a cone
 def test_permutation_leaves_count_invariant(abc, perm):
     permuted = tuple(abc[i] for i in perm)
     assert (

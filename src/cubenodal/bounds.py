@@ -2,10 +2,12 @@
 
 A Faber-Krahn lower bound applied to each nodal domain forces
 lambda^{3/2} / k >= (4/3) pi whenever lambda_k admits an eigenfunction with
-k nodal domains.  Combined with a closed-form lattice-point lower bound on
-the counting function N(lambda), this yields a cubic inequality in
-mu = sqrt(lambda) whose unique real root caps the search: every candidate
-eigenvalue lies below mu^2 < 48.7, hence is at most 48.
+k nodal domains; ``ScreeningRecord.fk_pass`` is that test at k_min.  Combined
+with a closed-form lattice-point lower bound on the counting function
+N(lambda), this yields a cubic inequality in mu = sqrt(lambda) whose unique
+real root caps the search: every candidate eigenvalue lies below
+mu^2 < 48.7, hence is at most 48.  All of this holds on the cube only, which
+``screen_candidates`` enumerates itself.
 """
 
 from __future__ import annotations
@@ -13,27 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectrum import BoxSpec, EigenvalueGroup, enumerate_groups
+from .spectrum import CUBE, EigenvalueGroup, enumerate_groups
 
 __all__ = [
     "FABER_KRAHN_RATIO",
     "ScreeningRecord",
-    "faber_krahn_threshold",
     "lattice_lower_bound",
     "pleijel_cutoff",
     "screen_candidates",
 ]
 
 FABER_KRAHN_RATIO = 4.0 * math.pi / 3.0
-
-
-def faber_krahn_threshold(lam: float, k: int) -> bool:
-    """True iff lambda^{3/2} / k >= 4*pi/3, the survival condition at index k."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    if k < 1:
-        raise ValueError(f"index k must be >= 1, got {k}")
-    return lam**1.5 / k >= FABER_KRAHN_RATIO
 
 
 def lattice_lower_bound(lam: float) -> float:
@@ -62,21 +54,21 @@ def _cutoff_poly_deriv(mu: float) -> float:
     return 3.0 * (3.0 / (4.0 * math.pi) - math.pi / 6.0) * mu**2 + 1.5 * math.pi * mu - 3.0
 
 
-def pleijel_cutoff(tol: float = 1e-6) -> tuple[float, float]:
+def pleijel_cutoff() -> tuple[float, float]:
     """Root of the screening cubic and the induced eigenvalue cutoff.
 
     Returns (mu_root, lambda_cutoff) where mu_root is the unique real root of
 
         (3/(4 pi) - pi/6) mu^3 + (3 pi/4) mu^2 - 3 mu + 3 = 0
 
-    bracketed in [1, 20] and bisected to ``tol`` with one Newton polish, and
+    bracketed in [1, 20] and bisected to width 1e-6 with one Newton polish, and
     lambda_cutoff = mu_root^2 (about 48.7).
     """
     lo, hi = 1.0, 20.0
     flo = _cutoff_poly(lo)
     if flo <= 0 or _cutoff_poly(hi) >= 0:
         raise RuntimeError("cutoff polynomial does not bracket a root on [1, 20]")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if _cutoff_poly(mid) > 0:
             lo = mid
@@ -97,21 +89,20 @@ class ScreeningRecord:
 
     group: EigenvalueGroup
     ratio: float
-    fk_pass: bool
+
+    @property
+    def fk_pass(self) -> bool:
+        """True iff lambda^{3/2} / k_min >= 4*pi/3, the survival condition."""
+        return self.ratio >= FABER_KRAHN_RATIO
 
 
-def screen_candidates(box: BoxSpec, lambda_max: float) -> list[ScreeningRecord]:
-    """One record per group with value <= lambda_max; candidates flagged.
+def screen_candidates(lambda_max: float) -> list[ScreeningRecord]:
+    """One record per cube group with value <= lambda_max; candidates flagged.
 
     The candidate set is complete once lambda_max covers the pleijel_cutoff
-    range; on the cube, lambda_max = 48 already contains every group that can
-    survive.
+    range: lambda_max = 48 already contains every group that can survive.
     """
     return [
-        ScreeningRecord(
-            group,
-            group.value**1.5 / group.k_min,
-            faber_krahn_threshold(group.value, group.k_min),
-        )
-        for group in enumerate_groups(box, lambda_max)
+        ScreeningRecord(group, group.value**1.5 / group.k_min)
+        for group in enumerate_groups(CUBE, lambda_max)
     ]

@@ -104,7 +104,7 @@ def _cube_group(value: float) -> EigenvalueGroup:
     )
     if not modes:
         raise ValueError(f"{value} is not a cube eigenvalue")
-    return EigenvalueGroup(v, modes, counting_function(CUBE, v) + 1)
+    return EigenvalueGroup(v, modes, counting_function(v) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def build_screen(box: BoxSpec, lambda_max: float) -> dict:
     if not box.is_cube:
         raise ValueError("the screen's Faber-Krahn ratio and cutoff hold only on the cube")
     mu_root, lambda_cutoff = pleijel_cutoff()
-    screened = screen_candidates(box, lambda_max)
+    screened = screen_candidates(lambda_max)
     indices = symmetric_indices([rec.group for rec in screened])
     records = []
     for rec in screened:
@@ -418,7 +418,7 @@ def _run_nodal(args) -> tuple[str, int]:
         raise ValueError(f"{len(modes)} modes but {len(coeffs)} coefficients were given")
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate modes")
-    values = {CUBE.eigenvalue(m) for m in modes}
+    values = {m.cube_eigenvalue for m in modes}
     if len(values) != 1:
         raise ValueError(f"modes mix distinct eigenvalues {sorted(values)}")
     value = values.pop()

@@ -69,7 +69,7 @@ def _g_sign(mode: ModeTriple) -> int:
 class EigenCombo:
     """A real linear combination of the modes of one eigenvalue group.
 
-    ``coeffs`` pairs with ``group.modes`` in order and must not be all zero.
+    ``coeffs`` pairs with ``group.modes`` in order, finite and not all zero.
     """
 
     group: EigenvalueGroup
@@ -82,6 +82,8 @@ class EigenCombo:
             raise ValueError(
                 f"expected {self.group.multiplicity} coefficients, got {len(coeffs)}"
             )
+        if not all(math.isfinite(x) for x in coeffs):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
         if all(x == 0.0 for x in coeffs):
             raise ValueError("coefficients must not all vanish")
 

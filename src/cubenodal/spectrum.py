@@ -1,8 +1,9 @@
-"""Dirichlet spectrum of boxes (0, pi/sqrt(alpha)) x (0, pi/sqrt(beta)) x (0, pi/sqrt(gamma)).
+"""Dirichlet spectrum of the cube (0, pi)^3; general boxes reach only the table.
 
 Modes are positive integer triples (l, m, n); the mode sin(l x) sin(m y) sin(n z)
-has eigenvalue alpha*l^2 + beta*m^2 + gamma*n^2.  On the cube (alpha = beta =
-gamma = 1) every eigenvalue is an integer and is stored exactly; eigenvalues of
+has eigenvalue alpha*l^2 + beta*m^2 + gamma*n^2 on the box (0, pi/sqrt(alpha)) x
+(0, pi/sqrt(beta)) x (0, pi/sqrt(gamma)), which only ``enumerate_groups`` takes.
+On the cube every eigenvalue is an integer and is stored exactly; eigenvalues of
 general boxes are floats grouped by exact equality, so an "irrational" box
 naturally yields only simple eigenvalues.
 """
@@ -140,34 +141,20 @@ def enumerate_groups(box: BoxSpec, lambda_max: float) -> list[EigenvalueGroup]:
     return groups
 
 
-def counting_function(box: BoxSpec, lam: float) -> int:
-    """N(lam): number of modes with eigenvalue strictly below lam.
+def counting_function(lam: float) -> int:
+    """N(lam): number of cube modes with l^2 + m^2 + n^2 strictly below lam.
 
-    For each (l, m) the modes below lam are n = 1..k for one k, since the
-    float sum a*l*l + b*m*m + g*n*n only grows with n; k is found from a
-    square root and then corrected by the comparison itself.  O(lam) time.
+    Eigenvalues are integers, so for each (l, m) the modes below lam are
+    n = 1..isqrt(top - l^2 - m^2) with top = ceil(lam) - 1.  O(lam) time.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    a, b, g = box.alpha, box.beta, box.gamma
-    if lam <= a + b + g:
-        return 0
-    l_top = _axis_limit(a, b + g, lam)
-    m_top = _axis_limit(b, a + g, lam)
-    n_top = _axis_limit(g, a + b, lam)
-    total = 0
-    for l in range(1, l_top + 1):
-        for m in range(1, m_top + 1):
-            rest = a * l * l + b * (m * m)
-            k = min(n_top, int(math.sqrt(max(lam - rest, 0.0) / g)))
-            while k > 0 and not rest + g * (k * k) < lam:
-                k -= 1
-            while k < n_top and rest + g * ((k + 1) * (k + 1)) < lam:
-                k += 1
-            if k == 0:
-                break  # rest only grows with m
-            total += k
-    return total
+    top = math.ceil(lam) - 1
+    return sum(
+        math.isqrt(top - l * l - m * m)
+        for l in range(1, math.isqrt(max(top - 2, 0)) + 1)
+        for m in range(1, math.isqrt(top - l * l - 1) + 1)
+    )
 
 
 def product_nodal_count(t: ModeTriple) -> int:

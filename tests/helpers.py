@@ -36,16 +36,15 @@ EIGENVALUE_TABLE = [
 ]
 
 
-def brute_force_count_below(lam, weights=(1.0, 1.0, 1.0)):
-    """Direct triple loop: modes (l,m,n) >= 1 with weighted eigenvalue < lam."""
-    a, b, g = weights
+def brute_force_count_below(lam):
+    """Direct triple loop: cube modes (l,m,n) >= 1 with l^2+m^2+n^2 < lam."""
     count = 0
     l = 1
-    while a * l * l + b + g < lam:
+    while l * l + 2 < lam:
         m = 1
-        while a * l * l + b * m * m + g < lam:
+        while l * l + m * m + 1 < lam:
             n = 1
-            while a * l * l + b * m * m + g * n * n < lam:
+            while l * l + m * m + n * n < lam:
                 count += 1
                 n += 1
             m += 1

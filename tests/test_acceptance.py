@@ -71,7 +71,7 @@ def test_criterion_01_table_reproduction(capsys):
 
 
 def test_criterion_02_screening_candidates():
-    records = screen_candidates(CUBE, 48)
+    records = screen_candidates(48)
     candidates = [r.group.k_min for r in records if r.fk_pass]
     assert candidates == [1, 2, 5, 8, 12]
     report(2, f"screening candidates are exactly k = {candidates}")

@@ -5,9 +5,9 @@ import pytest
 from cubenodal import (
     CUBE,
     FABER_KRAHN_RATIO,
+    ScreeningRecord,
     counting_function,
     enumerate_groups,
-    faber_krahn_threshold,
     lattice_lower_bound,
     pleijel_cutoff,
     screen_candidates,
@@ -17,18 +17,16 @@ from helpers import brute_force_count_below, non_eigenvalue_samples
 
 
 def test_faber_krahn_examples():
-    assert faber_krahn_threshold(3, 1)          # 5.196 >= 4.189
-    assert faber_krahn_threshold(14, 12)        # 4.365 >= 4.189
-    assert not faber_krahn_threshold(17, 18)    # 3.894 <  4.189
-    assert 14**1.5 / 12 == pytest.approx(4.3652, abs=1e-4)
-    assert 17**1.5 / 18 == pytest.approx(3.8940, abs=1e-4)
-
-
-def test_faber_krahn_validates_input():
-    with pytest.raises(ValueError):
-        faber_krahn_threshold(0.0, 1)
-    with pytest.raises(ValueError):
-        faber_krahn_threshold(3.0, 0)
+    by_value = {r.group.value: r for r in screen_candidates(17)}
+    assert by_value[3].fk_pass              # 5.196 >= 4.189 at k = 1
+    assert by_value[14].fk_pass             # 4.365 >= 4.189 at k = 12
+    assert not by_value[17].fk_pass         # 3.894 <  4.189 at k = 18
+    assert by_value[14].ratio == pytest.approx(4.3652, abs=1e-4)
+    assert by_value[17].ratio == pytest.approx(3.8940, abs=1e-4)
+    # The test is closed: a ratio of exactly 4 pi / 3 survives.
+    group = by_value[3].group
+    assert ScreeningRecord(group, FABER_KRAHN_RATIO).fk_pass
+    assert not ScreeningRecord(group, math.nextafter(FABER_KRAHN_RATIO, 0.0)).fk_pass
 
 
 def test_lattice_lower_bound_closed_form():
@@ -98,7 +96,7 @@ def test_cutoff_polynomial_follows_from_the_bounds():
 
 
 def test_screen_candidates_on_the_cube():
-    records = screen_candidates(CUBE, 48)
+    records = screen_candidates(48)
     assert [r.group.k_min for r in records if r.fk_pass] == [1, 2, 5, 8, 12]
     by_value = {r.group.value: r for r in records}
     assert not by_value[12].fk_pass        # 12^{3/2}/11 ~ 3.78
@@ -107,21 +105,21 @@ def test_screen_candidates_on_the_cube():
 
 
 def test_screening_is_a_stable_prefix():
-    short = screen_candidates(CUBE, 48)
-    long = screen_candidates(CUBE, 60)
+    short = screen_candidates(48)
+    long = screen_candidates(60)
     assert long[: len(short)] == short
 
 
 def test_screening_complete_above_cutoff():
     # Past the cutoff, no group can pass the threshold at its first index.
     _, cutoff = pleijel_cutoff()
-    for rec in screen_candidates(CUBE, 500):
+    for rec in screen_candidates(500):
         if rec.group.value > cutoff:
             assert not rec.fk_pass, rec.group.value
 
 
 def test_candidate_equals_fk_pass():
-    for rec in screen_candidates(CUBE, 100):
+    for rec in screen_candidates(100):
         assert rec.fk_pass == (rec.ratio >= FABER_KRAHN_RATIO)
         assert rec.ratio > 0
 
@@ -129,4 +127,4 @@ def test_candidate_equals_fk_pass():
 def test_counting_function_vs_library_consistency():
     # The library counting function and the direct loop describe one object.
     for lam in (3.5, 11, 48, 123.25, 200):
-        assert counting_function(CUBE, lam) == brute_force_count_below(lam)
+        assert counting_function(lam) == brute_force_count_below(lam)

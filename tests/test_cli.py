@@ -189,6 +189,15 @@ def test_nodal_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+def test_non_finite_coefficients_are_refused(coeff, capsys):
+    code = cli.main(["nodal", "--mode", "1,1,1", f"--coeffs={coeff}", "--resolution", "16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_nodal_nonconverged_exits_with_warning(capsys, monkeypatch):
     fake = NodalCount(2, 1, 0, 512, False)
     monkeypatch.setattr(cli, "count_nodal_domains", lambda *a, **k: fake)

@@ -83,28 +83,22 @@ def test_index_ranges_tile_the_index_line():
 
 
 def test_counting_function_examples():
-    assert counting_function(CUBE, 3) == 0
-    assert counting_function(CUBE, 6) == 1
-    assert counting_function(CUBE, 48) == 120
+    for lam in (-5, 0, 2.5, 3):
+        assert counting_function(lam) == 0
+    assert counting_function(6) == 1
+    assert counting_function(48) == 120
 
 
 def test_counting_function_matches_brute_force_oracle():
     lams = [x / 2 for x in range(6, 401)]  # 3.0 .. 200.0 in half-integer steps
     for lam in lams:
-        assert counting_function(CUBE, lam) == brute_force_count_below(lam)
+        assert counting_function(lam) == brute_force_count_below(lam)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=3.0, max_value=200.0, allow_nan=False))
 def test_counting_function_oracle_property(lam):
-    assert counting_function(CUBE, lam) == brute_force_count_below(lam)
-
-
-def test_counting_function_general_box_oracle():
-    box = BoxSpec(1.0, 2.0, 5.0)
-    weights = (box.alpha, box.beta, box.gamma)
-    for lam in (8.0, 13.5, 40.0, 77.25):
-        assert counting_function(box, lam) == brute_force_count_below(lam, weights)
+    assert counting_function(lam) == brute_force_count_below(lam)
 
 
 def dense_counting_function(box, lam):
@@ -120,24 +114,22 @@ def dense_counting_function(box, lam):
     )
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1.0, 1.5, 2.25)])
-def test_counting_function_matches_the_dense_formula(weights):
+def test_counting_function_matches_the_dense_formula():
     # Bit for bit, also at lambdas that are eigenvalues (the bound is open)
     # and at the floats next to them.
-    box = BoxSpec(*weights)
-    values = [g.value for g in enumerate_groups(box, 120)]
-    values += [g.value for g in enumerate_groups(box, 2000)[-5:]]
+    values = [g.value for g in enumerate_groups(CUBE, 120)]
+    values += [g.value for g in enumerate_groups(CUBE, 2000)[-5:]]
     lams = [3.0, 5.5, 77.25, 1234.5]
     for value in values:
         lams += [value, math.nextafter(value, 0.0), math.nextafter(value, math.inf)]
     for lam in lams:
-        assert counting_function(box, lam) == dense_counting_function(box, lam), lam
+        assert counting_function(lam) == dense_counting_function(CUBE, lam), lam
 
 
 def test_weyl_normalization_stays_in_band():
     # N(lam) <= (pi/6) lam^{3/2} with ratio above 1/2 on [50, 500].
     for lam in range(50, 501):
-        ratio = counting_function(CUBE, lam) / (math.pi / 6 * lam**1.5)
+        ratio = counting_function(lam) / (math.pi / 6 * lam**1.5)
         assert 0.5 < ratio < 1.0, (lam, ratio)
 
 

@@ -197,18 +197,15 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
     mirrors = tuple(2 * min(p) - 1 if even and len(p) == 1 else 0 for p in parities)
     signs = {_g_sign(mode) for _, mode in active}
     inversion = signs.pop() if even and not any(mirrors) and len(signs) == 1 else 0
-    # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n).
+    # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n),
+    # gathered for every active mode (row) at once.
     halved = (mirrors[0] or inversion, *mirrors[1:])
     ranges = [np.arange(1, n // 2 + 1 if h else n) for h in halved]
     shape = tuple(len(r) for r in ranges)
-    planes = np.empty((len(active), shape[0] * shape[1]))
-    sz = np.empty((len(active), shape[2]))
-    for t, (coeff, mode) in enumerate(active):
-        l, m, k = mode.as_tuple()
-        sx = coeff * table[(l * ranges[0]) % (2 * n)]
-        sy = table[(m * ranges[1]) % (2 * n)]
-        planes[t] = np.multiply.outer(sx, sy).ravel()
-        sz[t] = table[(k * ranges[2]) % (2 * n)]
+    freqs = np.array([mode.as_tuple() for _, mode in active]).T
+    sx, sy, sz = (table[np.multiply.outer(f, r) % (2 * n)] for f, r in zip(freqs, ranges))
+    sx *= np.array([coeff for coeff, _ in active])[:, None]
+    planes = (sx[:, :, None] * sy[:, None, :]).reshape(len(active), -1)
     return ScalarGrid(n, shape, planes, sz, mirrors, inversion)
 
 
@@ -218,32 +215,41 @@ def _root(parent: list[int], a: int) -> int:
     return a
 
 
-def _join(parent: list[int], here: np.ndarray, there: np.ndarray, offset: int) -> None:
-    """Merge label ``here[p]`` with label ``offset + there[p]`` wherever both are labels."""
-    # Pairs (a, b) of labels facing each other, packed as a << 32 | b so that
-    # np.unique drops the repeats.
+def _join(parent: list[int], here: np.ndarray, there: np.ndarray, bases: tuple[int, int]) -> None:
+    """Merge label bases[0] + here[p] (int64) with bases[1] + there[p] wherever both are > 0."""
     both = (here > 0) & (there > 0)
-    for key in np.unique(here[both] << 32 | there[both]).tolist():
-        parent[_root(parent, key >> 32)] = _root(parent, offset + (key & 0xFFFFFFFF))
+    keys = (here[both] + bases[0]) << 32 | (there[both] + bases[1])
+    # Labels run in stretches along a face: drop each key equal to the one
+    # before it, and only then the repeats left.
+    for key in set(keys[np.diff(keys, prepend=-1) != 0].tolist()):
+        parent[_root(parent, key >> 32)] = _root(parent, key & 0xFFFFFFFF)
+
+
+def _labels_on(plane: np.ndarray, base: int, count: int) -> list[int]:
+    """The labels base + a, 1 <= a <= count, of the local labels a in ``plane``."""
+    seen = np.zeros(count + 1, bool)
+    seen[plane] = True
+    return (np.flatnonzero(seen[1:]) + (base + 1)).tolist()
 
 
 class _Components:
     """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
     Each slab is labelled on its own into a caller's buffer, its labels
-    numbered on from the previous slab's, and ``_join`` merges the labels
-    that meet across the face between two slabs.  Nothing kept refers to the
-    buffer: the face a slab shares with the next (``last_row``) and the
-    labels on the y and z mirror planes are copied out, so the buffer is free
-    for reuse once ``add`` returns.  The x mirror plane, if any, is the last
-    ``last_row``.
+    numbered on from a ``base``, and ``_join`` merges the labels that meet
+    across the face between two slabs.  Nothing kept refers to the buffer:
+    the last x-row's local labels (``last_row``, numbered from ``last_base``)
+    and the labels on the y and z mirror planes are copied out, so the buffer
+    is free for reuse once ``add`` returns.  The x mirror plane, if any, is
+    the last ``last_row``.
     """
 
     def __init__(self, mirror_axes: list[int]):
         self.mirror_axes = mirror_axes
         self.parent = [0]  # union-find over the labels; 0 is the background
-        self.on_plane: dict[int, set[int]] = {axis: set() for axis in mirror_axes if axis}
+        self.on_plane: dict[int, list[int]] = {axis: [] for axis in mirror_axes if axis}
         self.last_row: np.ndarray | None = None
+        self.last_base = 0
 
     def add(self, mask: np.ndarray, labels: np.ndarray) -> None:
         """Label the slab ``mask`` into ``labels``, an int32 array of its shape."""
@@ -251,11 +257,10 @@ class _Components:
         base = len(self.parent) - 1
         self.parent.extend(range(base + 1, base + count + 1))
         if self.last_row is not None:
-            _join(self.parent, self.last_row, labels[0], base)
+            _join(self.parent, self.last_row, labels[0], (self.last_base, base))
         for axis, on_plane in self.on_plane.items():
-            plane = np.unique(np.take(labels, -1, axis=axis))
-            on_plane.update((plane[plane > 0] + base).tolist())
-        self.last_row = np.where(labels[-1] > 0, labels[-1] + base, 0).astype(np.int64)
+            on_plane += _labels_on(labels[:, -1] if axis == 1 else labels[..., -1], base, count)
+        self.last_row, self.last_base = labels[-1].astype(np.int64), base
 
     def count(self, image: "_Components | None" = None) -> int:
         """Components of the whole grid; this object is left as it is.
@@ -273,21 +278,22 @@ class _Components:
         offset = len(parent)
         planes = list(self.on_plane.values())
         if 0 in self.mirror_axes:
-            planes.append(np.unique(self.last_row[self.last_row > 0]).tolist())
+            planes.append(_labels_on(self.last_row, self.last_base, offset - 1 - self.last_base))
         if image is not None:
             parent += [offset + a for a in image.parent]
-            _join(parent, self.last_row, image.last_row[::-1, ::-1], offset)
+            bases = (self.last_base, offset + image.last_base)
+            _join(parent, self.last_row, image.last_row[::-1, ::-1], bases)
         touched = Counter(r for plane in planes for r in {_root(parent, a) for a in plane})
         # Less the backgrounds: 0, and the image sheet's at offset.
         roots = {_root(parent, a) for a in range(len(parent))} - {0, offset}
         return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
 
 
-# The slab workspace of count_components: samples, the masks > 0, < 0 and
-# == 0, and labels.  It is allocated on first use, sized to SLAB_POINTS, and
-# kept for the life of the process, so every later count reuses its pages
-# instead of allocating (and faulting in) its slabs afresh.  count_components
-# is therefore not reentrant across threads.
+# The slab workspace of count_components: samples, the masks > 0 and < 0,
+# and labels.  It is allocated on first use, sized to SLAB_POINTS, and kept
+# for the life of the process, so every later count reuses its pages instead
+# of allocating (and faulting in) its slabs afresh.  count_components is
+# therefore not reentrant across threads.
 _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
@@ -296,8 +302,18 @@ def _slab_workspace(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     global _workspace
     if _workspace is None or len(_workspace[0]) < points:
         size = max(SLAB_POINTS, points)
-        _workspace = (np.empty(size), np.empty((3, size), bool), np.empty(size, np.int32))
+        _workspace = (np.empty(size), np.empty((2, size), bool), np.empty(size, np.int32))
     return _workspace
+
+
+def _zeros(above: np.ndarray, below: np.ndarray, axes: list[int]) -> int:
+    """Samples in neither mask, each counted once per image under the mirror ``axes``:
+    by inclusion-exclusion, twice the whole less its last plane per axis (ascending)."""
+    if not axes:
+        return above.size - np.count_nonzero(above) - np.count_nonzero(below)
+    *rest, axis = axes
+    plane = (slice(None),) * axis + (-1,)
+    return 2 * _zeros(above, below, rest) - _zeros(above[plane], below[plane], rest)
 
 
 def count_components(grid: ScalarGrid) -> NodalCount:
@@ -308,29 +324,26 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     component onto one of the other sign, so then the two signs split the
     total evenly.  The grid is evaluated, compared and labelled in slabs of
     at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
-    written into one workspace that every count reuses.
+    written into one workspace that every count reuses.  A slab's zeros are
+    the samples in neither sign mask, so no third comparison is made.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
     samples, masks, labels = _slab_workspace(step * sy * sz)
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
     positive, negative = _Components(mirror_axes), _Components(mirror_axes)
-    zero_rows = []
+    yz_axes = [axis for axis in mirror_axes if axis]
+    n_zero = 0
     for start in range(0, sx, step):
         v = grid.rows(start, min(start + step, sx), out=samples)
-        above, below, zeros = (mask[: v.size].reshape(v.shape) for mask in masks)
+        above, below = (mask[: v.size].reshape(v.shape) for mask in masks)
         slab_labels = labels[: v.size].reshape(v.shape)
         positive.add(np.greater(v, 0.0, out=above), slab_labels)
         negative.add(np.less(v, 0.0, out=below), slab_labels)
-        # Zero samples, weighted by their number of images: reduce one axis
-        # at a time, counting the mirror plane once and every other plane twice.
-        np.equal(v, 0.0, out=zeros)
-        for m in grid.mirrors[:0:-1]:
-            total = zeros.sum(axis=-1)
-            zeros = 2 * total - zeros[..., -1] if m else total
-        zero_rows.append(zeros)
-    zeros = np.concatenate(zero_rows)
-    n_zero = 2 * zeros.sum() - zeros[-1] if grid.mirrors[0] or grid.inversion else zeros.sum()
+        n_zero += _zeros(above, below, yz_axes)
+    # The x mirror plane, or the plane g maps to itself, is the last x-row.
+    if grid.mirrors[0] or grid.inversion:
+        n_zero = 2 * n_zero - _zeros(above[-1:], below[-1:], yz_axes)
     # Each sign's image sheet under g is the half's mask of ε times that sign.
     images = {0: (None, None), 1: (positive, negative), -1: (negative, positive)}[grid.inversion]
     n_pos, n_neg = positive.count(images[0]), negative.count(images[1])

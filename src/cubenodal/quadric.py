@@ -145,10 +145,10 @@ def predict_components(q: QuadricCoeffs) -> ComponentPrediction:
     if cls is QuadricClass.CYLINDER:
         lo_pair = [t for t in (q.A, q.B, q.C) if t != 0.0]
         if lo_pair[0] * lo_pair[1] > 0:
-            # Ellipse P u^2 + Q v^2 = (P+Q)/4; the long semi-axis stays inside
-            # the square iff the smaller normalized coefficient exceeds 1/4.
-            small = min(abs(lo_pair[0]), abs(lo_pair[1]))
-            if small / (abs(lo_pair[0]) + abs(lo_pair[1])) > 0.25:
+            # Ellipse P u^2 + Q v^2 = (P+Q)/4; the long semi-axis stays inside the
+            # square iff small / (small + large) > 1/4, i.e. 3 small - large > 0 exactly.
+            small, large = sorted((abs(lo_pair[0]), abs(lo_pair[1])))
+            if math.fsum((small, small, small, -large)) > 0:
                 return ComponentPrediction(2, "cylinder ellipse interior")
             return ComponentPrediction(3, "cylinder ellipse edge-cut")
         # Hyperbola with P + Q = 1, P > 1: both branches run from the top edge

@@ -286,6 +286,8 @@ QUOTIENT_CASES = {
         mode_combos(14, [(2, 1, 3), (3, 1, 2)], 3, 12), 16, 64, (0, 1, 0), 0),
     "lambda9-z-antimirror-only": (
         mode_combos(9, [(1, 2, 2), (2, 1, 2)], 3, 13), 16, 64, (0, 0, -1), 0),
+    # The zero planes x, y = pi/3 and 2pi/3 cross every mirror plane.
+    "mode331-zeros-on-mirror-planes": ([pure_combo(3, 3, 1)], 24, 96, (1, 1, 1), 0),
     "box112-lambda10-mixed-g": (random_combos(10, 2, 10, BoxSpec(1, 1, 2)), 16, 64, (0, 0, 0), 0),
     "n0-17-odd-then-even": (random_combos(11, 3, 6), 17, 68, (1, 1, 1), 0),
 }
@@ -355,6 +357,82 @@ def test_rows_into_a_buffer_are_bitwise_the_same():
         rows = grid.rows(start, stop, out=buf)
         assert np.shares_memory(rows, buf)
         assert np.array_equal(rows, grid.rows(start, stop))
+
+
+def per_mode_factors(combo, grid):
+    """``grid``'s factors built one active mode at a time, the way sample_field once did."""
+    n = grid.n
+    table = nodal._sine_table(n)
+    ranges = [np.arange(1, size + 1) for size in grid.shape]
+    planes, zs = [], []
+    for coeff, mode in zip(combo.coeffs, combo.group.modes):
+        if coeff != 0.0:
+            l, m, k = mode.as_tuple()
+            sx = coeff * table[(l * ranges[0]) % (2 * n)]
+            planes.append(np.multiply.outer(sx, table[(m * ranges[1]) % (2 * n)]).ravel())
+            zs.append(table[(k * ranges[2]) % (2 * n)])
+    return np.array(planes), np.array(zs)
+
+
+@pytest.mark.parametrize("case", list(QUOTIENT_CASES))
+def test_sample_field_factors_are_bitwise_per_mode(case):
+    # Every symmetry class: whole grids with mixed parities, mirror quotients
+    # and antipodal quotients.
+    combos, n0, _, _, _ = QUOTIENT_CASES[case]
+    for combo in combos:
+        for n in (n0, 2 * n0):
+            for quotient in (False, True):
+                grid = sample_field(combo, n, quotient)
+                planes, zs = per_mode_factors(combo, grid)
+                assert grid.planes.shape == planes.shape and grid.zs.shape == zs.shape
+                assert grid.planes.tobytes() == planes.tobytes(), (n, quotient)
+                assert grid.zs.tobytes() == zs.tobytes(), (n, quotient)
+
+
+def join_partition(parent):
+    """The classes of the union-find ``parent``, as a set of frozensets."""
+    classes: dict[int, set[int]] = {}
+    for a in range(len(parent)):
+        classes.setdefault(nodal._root(parent, a), set()).add(a)
+    return {frozenset(c) for c in classes.values()}
+
+
+def face_labels(kind, rng, shape, count):
+    """A label plane: long runs along the last axis, all labels distinct, or no labels."""
+    if kind == "long-runs":
+        runs = rng.integers(0, count + 1, size=(shape[0], shape[1] // 8))
+        return np.repeat(runs, 8, axis=1)
+    if kind == "no-runs":
+        return rng.permutation(np.arange(1, shape[0] * shape[1] + 1)).reshape(shape)
+    return np.zeros(shape, np.int64)
+
+
+@pytest.mark.parametrize(
+    "here_kind, there_kind",
+    [("long-runs", "long-runs"), ("no-runs", "no-runs"), ("long-runs", "no-runs"),
+     ("empty", "long-runs"), ("no-runs", "empty")],
+)
+def test_join_merges_exactly_the_facing_pairs(here_kind, there_kind):
+    rng = np.random.default_rng(len(here_kind) * len(there_kind))
+    shape = (12, 40)
+    for _ in range(10):
+        here, there = (face_labels(kind, rng, shape, 6) for kind in (here_kind, there_kind))
+        bases = (3, 3 + shape[0] * shape[1] + 2)
+        parent = list(range(bases[1] + shape[0] * shape[1] + 5))
+        parent[2] = 1  # a merge made before, which the join must keep
+        expected = {a: {a} for a in range(len(parent))}
+        pairs = {(1, 2)} | {
+            (bases[0] + a, bases[1] + b)
+            for a, b in zip(here.ravel().tolist(), there.ravel().tolist())
+            if a and b
+        }
+        for a, b in pairs:
+            if expected[a] is not expected[b]:
+                merged = expected[a] | expected[b]
+                for c in merged:
+                    expected[c] = merged
+        nodal._join(parent, here.astype(np.int64), there.astype(np.int32), bases)
+        assert join_partition(parent) == {frozenset(c) for c in expected.values()}
 
 
 # Grids named by (eigenvalue, coefficients, n), counted with quotient=True:

@@ -143,6 +143,7 @@ def test_counts_always_in_2_3_4():
 )
 @example((1.54e-303, 1.0, -2.24e-26), -42.0)  # unscaled A*B*C underflows to -0.0
 @example((1.0, -3.0, -5e-324), -1.5)  # the subnormal A/s underflows to 0
+@example((0.0, 1.0, 2.9999999999999996), 2.5)  # small / (|P|+|Q|) rounds to 1/4
 def test_scale_and_sign_invariance(abc, t):
     a, b, c = abc
     base = predict_components(reduce_to_quadric(a, b, c))

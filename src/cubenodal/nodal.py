@@ -232,6 +232,92 @@ def _labels_on(plane: np.ndarray, base: int, count: int) -> list[int]:
     return (np.flatnonzero(seen[1:]) + (base + 1)).tolist()
 
 
+def _bounds(rows: np.ndarray, plane: np.ndarray, value: bool) -> tuple[int, ...]:
+    """The box (x0, x1, y0, y1, z0, z1) that bounds the samples equal to ``value``,
+    read off their projections on x (``rows``) and on the yz-plane (``plane``):
+    any-projections for True, all-projections for False.  All 0, an empty box,
+    if there are none."""
+    x, yz, zy = rows.tobytes(), plane.tobytes(), plane.T.tobytes()
+    x0 = x.find(value)
+    if x0 < 0:
+        return (0,) * 6
+    sy, sz = plane.shape
+    return (x0, x.rfind(value) + 1, yz.find(value) // sz, yz.rfind(value) // sz + 1,
+            zy.find(value) // sy, zy.rfind(value) // sy + 1)
+
+
+def _widened(box: tuple[int, ...], shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``box`` widened by one on every side and clipped to ``shape``."""
+    x0, x1, y0, y1, z0, z1 = box
+    sx, sy, sz = shape
+    return (max(x0 - 1, 0), min(x1 + 1, sx), max(y0 - 1, 0), min(y1 + 1, sy),
+            max(z0 - 1, 0), min(z1 + 1, sz))
+
+
+def _volume(box: tuple[int, ...]) -> int:
+    x0, x1, y0, y1, z0, z1 = box
+    return (x1 - x0) * (y1 - y0) * (z1 - z0)
+
+
+def _boxes(pair: np.ndarray) -> list[tuple[tuple[int, ...], bool]]:
+    """For each of the disjoint masks ``pair`` (shape (2, sx, sy, sz)), the box
+    ``_label_box`` labels and whether it is E.
+
+    B is the bounding box of the mask and E that of the samples not in it,
+    widened by one and clipped; the smaller is taken, B on a tie.  E is no
+    smaller than the other mask's B widened, since it holds that mask, so E
+    is sought only if that is smaller than B.  Extents come from any/all
+    projections: two reductions of the pair give both B, two of a mask its E.
+    """
+    rows, planes = np.logical_or.reduce(pair, (2, 3)), np.logical_or.reduce(pair, 1)
+    own = _bounds(rows[0], planes[0], True), _bounds(rows[1], planes[1], True)
+    boxes = []
+    for mask, box, other in zip(pair, own, own[::-1]):
+        if _volume(_widened(other, mask.shape)) < _volume(box):
+            plane = np.logical_and.reduce(mask)
+            rest = _widened(_bounds(np.logical_and.reduce(mask, (1, 2)), plane, False), mask.shape)
+            if _volume(rest) < _volume(box):
+                boxes.append((rest, True))
+                continue
+        boxes.append((box, False))
+    return boxes
+
+
+def _label_box(
+    mask: np.ndarray, box: tuple[int, ...], edge: bool, labels: np.ndarray, scratch: np.ndarray
+) -> int:
+    """``ndimage.label(mask, output=labels)``, up to a bijection of the labels,
+    labelling only ``box``: B, or E if ``edge`` (see ``_boxes``).
+
+    The rest of ``labels`` is known without labelling.  Outside B every label
+    is 0.  Outside E every sample is in the mask, and the region beyond a face
+    of E takes the label of that face, which lies in the mask.  Faces on
+    different axes meet along an edge of E, so every face before E carries
+    the label of its first corner and every face after it that of its last;
+    only faces on one axis, with E spanning the other two, can differ.  An
+    empty mask has an empty B and a full one a one-cell E.  The box's mask
+    and labels are copied into the bytes ``scratch``, contiguous, for
+    ``ndimage.label``; a box no smaller than the mask is not copied, and the
+    whole mask is labelled into ``labels``.
+    """
+    volume = _volume(box)
+    if volume >= mask.size:
+        return ndimage.label(mask, structure=_FACE_STRUCTURE, output=labels)
+    spans = tuple(slice(lo, hi) for lo, hi in zip(box[::2], box[1::2]))
+    shape = [hi - lo for lo, hi in zip(box[::2], box[1::2])]
+    part = scratch[: 4 * volume].view(np.int32).reshape(shape)
+    inside = scratch[4 * volume : 5 * volume].view(np.bool_).reshape(shape)
+    np.copyto(inside, mask[spans])
+    count = ndimage.label(inside, structure=_FACE_STRUCTURE, output=part)
+    labels.fill(part.flat[0] if edge else 0)
+    if edge:
+        for axis, hi in enumerate(box[1::2]):
+            if hi < labels.shape[axis]:
+                labels[(slice(None),) * axis + (slice(hi, None),)] = part.flat[-1]
+    labels[spans] = part
+    return count
+
+
 class _Components:
     """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
@@ -251,9 +337,14 @@ class _Components:
         self.last_row: np.ndarray | None = None
         self.last_base = 0
 
-    def add(self, mask: np.ndarray, labels: np.ndarray) -> None:
-        """Label the slab ``mask`` into ``labels``, an int32 array of its shape."""
-        count = ndimage.label(mask, structure=_FACE_STRUCTURE, output=labels)
+    def add(
+        self, mask: np.ndarray, box: tuple[int, ...], edge: bool, labels: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Label the slab ``mask`` into ``labels``, an int32 array of its shape, by
+        ``_label_box`` with ``box``, ``edge`` and ``scratch``; ``labels`` then
+        equals ``ndimage.label``'s output up to a bijection of the labels."""
+        count = _label_box(mask, box, edge, labels, scratch)
         base = len(self.parent) - 1
         self.parent.extend(range(base + 1, base + count + 1))
         if self.last_row is not None:
@@ -290,10 +381,11 @@ class _Components:
 
 
 # The slab workspace of count_components: samples, the masks > 0 and < 0,
-# and labels.  It is allocated on first use, sized to SLAB_POINTS, and kept
-# for the life of the process, so every later count reuses its pages instead
-# of allocating (and faulting in) its slabs afresh.  count_components is
-# therefore not reentrant across threads.
+# and labels; the samples' bytes also hold a labelled box.  It is allocated
+# on first use, sized to SLAB_POINTS, and kept for the life of the process,
+# so every later count reuses its pages instead of allocating (and faulting
+# in) its slabs afresh.  count_components is therefore not reentrant across
+# threads.
 _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
@@ -324,22 +416,31 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     component onto one of the other sign, so then the two signs split the
     total evenly.  The grid is evaluated, compared and labelled in slabs of
     at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
-    written into one workspace that every count reuses.  A slab's zeros are
-    the samples in neither sign mask, so no third comparison is made.
+    written into one workspace that every count reuses.  Each sign of a slab
+    is labelled only inside the smaller of two boxes, its bounding box B or
+    the widened bounding box E of the rest (``_boxes``, ``_label_box``); the
+    labels outside follow from the box.  A slab's zeros are the samples in
+    neither sign mask, so no third comparison is made.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
     samples, masks, labels = _slab_workspace(step * sy * sz)
+    # Once a slab's masks are made its samples are spent, and their bytes
+    # hold the box that _label_box labels, its mask and its labels.
+    scratch = samples.view(np.uint8)
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
     positive, negative = _Components(mirror_axes), _Components(mirror_axes)
     yz_axes = [axis for axis in mirror_axes if axis]
     n_zero = 0
     for start in range(0, sx, step):
         v = grid.rows(start, min(start + step, sx), out=samples)
-        above, below = (mask[: v.size].reshape(v.shape) for mask in masks)
+        pair = masks[:, : v.size].reshape(2, *v.shape)
+        above, below = pair
         slab_labels = labels[: v.size].reshape(v.shape)
-        positive.add(np.greater(v, 0.0, out=above), slab_labels)
-        negative.add(np.less(v, 0.0, out=below), slab_labels)
+        np.greater(v, 0.0, out=above)
+        np.less(v, 0.0, out=below)
+        for components, mask, (box, edge) in zip((positive, negative), pair, _boxes(pair)):
+            components.add(mask, box, edge, slab_labels, scratch)
         n_zero += _zeros(above, below, yz_axes)
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:

@@ -1,6 +1,8 @@
-"""Shared oracles and frozen reference data for the test suite."""
+"""Shared oracles, constructors and frozen reference data for the test suite."""
 
 import math
+
+from cubenodal import CUBE, EigenCombo, enumerate_groups
 
 # Published table of the cube's Dirichlet eigenvalues up to 48:
 # (k_min, k_max, eigenvalue, mode families up to axis permutation).
@@ -71,3 +73,14 @@ def non_eigenvalue_samples(count=200, lo=3.0, hi=200.0):
     """
     step = (hi - lo) / count
     return [lo + (i + 0.5) * step for i in range(count)]
+
+
+def group_at(value):
+    """The cube's eigenvalue group at ``value``."""
+    return next(g for g in enumerate_groups(CUBE, value) if g.value == value)
+
+
+def lambda11_combo(a, b, c):
+    """The eigenvalue-11 combination a s1 + b s2 + c s3 of the quadric analysis."""
+    # Modes in lexicographic order (1,1,3), (1,3,1), (3,1,1) carry (a, c, b).
+    return EigenCombo(group_at(11), (a, c, b))

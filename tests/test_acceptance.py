@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The eigenspace sweep
 is seconds.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -32,20 +33,14 @@ from helpers import (
     EIGENVALUE_TABLE,
     brute_force_count_below,
     brute_force_modes_upto,
+    group_at,
+    lambda11_combo,
     non_eigenvalue_samples,
 )
 
 
 def report(criterion, message):
     print(f"\n[criterion {criterion}] PASS: {message}")
-
-
-def group_at(value):
-    return next(g for g in enumerate_groups(CUBE, value) if g.value == value)
-
-
-def lambda11_combo(a, b, c):
-    return EigenCombo(group_at(11), (a, c, b))
 
 
 def test_criterion_01_table_reproduction(capsys):
@@ -122,6 +117,10 @@ FIGURE_CASES = [
     ((0.5, 0.8, -0.3), 2),
     ((0.8, 0.8, -0.6), 2),
     ((0.8, 0.8, -2.6), 3),
+    # Cylinder ellipse edge-cut and cylinder hyperbola: each mask is constant
+    # along one axis.
+    ((1.0, 4.0, 0.0), 3),
+    ((0.0, 1.5, -0.5), 3),
 ]
 
 
@@ -134,8 +133,8 @@ def test_criterion_06_figure_case_counts():
         assert count.resolution_used == 256, abc
         assert count.total == expected, (abc, count.total, expected)
         assert elapsed < 10.0, abc
-    report(6, f"all {len(FIGURE_CASES)} figure cases converge at 128/256 to "
-              "the published counts")
+    report(6, f"all {len(FIGURE_CASES)} reference cases converge at 128/256 to "
+              "the published and predicted counts")
 
 
 def test_criterion_07_lambda11_sweep():
@@ -152,6 +151,14 @@ def test_criterion_07_lambda11_sweep():
         if s.boundary_distance > 1e-2 and s.predicted.count != s.count.total
     ]
     assert mismatches == []
+    # Every sample's count, pinned: any drift in the counting kernel fails here.
+    records = [
+        (s.index, s.count.positive_components, s.count.negative_components,
+         s.count.zero_samples, s.count.resolution_used, s.count.converged)
+        for s in result.samples
+    ]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "36cf216cb554e4839c18df109dbc599890c9c83038959821bd8b3473842e02cc"
     assert elapsed < 600.0
     report(7, f"500-sample sweep histogram {histogram}, predictor agreement "
               f"100% away from subcase boundaries, {elapsed:.0f}s")

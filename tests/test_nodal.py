@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cubenodal import (
     CUBE,
@@ -26,10 +27,7 @@ from cubenodal import (
 )
 from cubenodal import nodal
 from cubenodal.quadric import boundary_distance, sine_coeffs_from_modes
-
-
-def group_at(value):
-    return next(g for g in enumerate_groups(CUBE, value) if g.value == value)
+from helpers import group_at, lambda11_combo
 
 
 def pure_combo(l, m, n):
@@ -37,11 +35,6 @@ def pure_combo(l, m, n):
     group = group_at(mode.cube_eigenvalue)
     coeffs = tuple(1.0 if g == mode else 0.0 for g in group.modes)
     return EigenCombo(group, coeffs)
-
-
-def lambda11_combo(a, b, c):
-    # Modes in lexicographic order (1,1,3), (1,3,1), (3,1,1) carry (a, c, b).
-    return EigenCombo(group_at(11), (a, c, b))
 
 
 def test_eigencombo_validation():
@@ -433,6 +426,88 @@ def test_join_merges_exactly_the_facing_pairs(here_kind, there_kind):
                     expected[c] = merged
         nodal._join(parent, here.astype(np.int64), there.astype(np.int32), bases)
         assert join_partition(parent) == {frozenset(c) for c in expected.values()}
+
+
+def planted_slab(rng, shape, lo, hi):
+    """Samples of one sign with the box [lo, hi) replaced by random signs and zeros."""
+    samples = np.full(shape, rng.choice([-1.0, 1.0]))
+    inner = tuple(slice(a, b) for a, b in zip(lo, hi))
+    p = rng.dirichlet([1.0, 1.0, 1.0])
+    samples[inner] = rng.choice([-1.0, 0.0, 1.0], size=samples[inner].shape, p=p)
+    return samples
+
+
+def planted_box(rng, shape, case):
+    """Bounds [lo, hi) of a sub-box for ``case``: ("face", axis, side), ("band", axis)
+    for one spanning the other two axes, or ("inside",) for one anywhere."""
+    lo = [int(rng.integers(0, size)) for size in shape]
+    hi = [int(rng.integers(a + 1, size + 1)) for a, size in zip(lo, shape)]
+    if case[0] == "face":
+        _, axis, side = case
+        if side:
+            hi[axis] = shape[axis]
+        else:
+            lo[axis] = 0
+    elif case[0] == "band":
+        for axis in range(3):
+            if axis != case[1]:
+                lo[axis], hi[axis] = 0, shape[axis]
+    return lo, hi
+
+
+def check_box_labels(samples):
+    """``_label_box`` on each sign, against ``ndimage.label`` on the whole mask:
+    the same count, and labels that correspond one to one, 0 to 0."""
+    pair = np.stack([samples > 0, samples < 0])
+    kinds = []
+    for mask, (box, edge) in zip(pair, nodal._boxes(pair)):
+        expected = np.empty(mask.shape, np.int32)
+        count = ndimage.label(mask, structure=nodal._FACE_STRUCTURE, output=expected)
+        labels = np.full(mask.shape, -1, np.int32)
+        scratch = np.full(8 * mask.size, 255, np.uint8)
+        assert nodal._label_box(mask, box, edge, labels, scratch) == count
+        pairs = set(zip(expected.ravel().tolist(), labels.ravel().tolist()))
+        assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+        assert all((a == 0) == (b == 0) for a, b in pairs)
+        kinds.append("whole" if nodal._volume(box) >= mask.size else "E" if edge else "B")
+    return kinds
+
+
+BOX_CASES = {
+    **{f"face-{'xyz'[axis]}-{'lo' if side == 0 else 'hi'}": ("face", axis, side)
+       for axis in range(3) for side in (0, 1)},
+    **{f"band-{'xyz'[axis]}": ("band", axis) for axis in range(3)},
+    "inside": ("inside",),
+}
+
+
+@pytest.mark.parametrize("case", list(BOX_CASES))
+def test_box_labels_match_whole_mask_labels(case):
+    rng = np.random.default_rng(list(BOX_CASES).index(case))
+    kinds = []
+    for trial in range(60):
+        # Every fourth slab is one x-row thick, as when one x-row fills a slab.
+        shape = (1 if trial % 4 == 0 else int(rng.integers(2, 10)), *rng.integers(1, 12, 2))
+        kinds += check_box_labels(planted_slab(rng, shape, *planted_box(rng, shape, BOX_CASES[case])))
+    assert {"B", "E"} <= set(kinds), kinds
+
+
+def test_box_labels_of_empty_full_and_zero_band_slabs():
+    for shape in [(1, 1, 1), (1, 5, 7), (4, 1, 6), (6, 9, 8)]:
+        # All zeros (both masks empty), and one sign throughout (one full, one empty).
+        full = "whole" if shape == (1, 1, 1) else "E"  # E is one cell
+        assert check_box_labels(np.zeros(shape)) == ["B", "B"]
+        assert check_box_labels(np.ones(shape)) == [full, "B"]
+        assert check_box_labels(-np.ones(shape)) == ["B", full]
+        for axis in (axis for axis in range(3) if shape[axis] > 3):
+            for sign, value in enumerate((1.0, -1.0)):
+                # A band of zeros splits one sign into two regions, beyond the
+                # two faces of an E that spans the other two axes.
+                samples = np.full(shape, value)
+                samples[(slice(None),) * axis + (1,)] = 0.0
+                assert check_box_labels(samples)[sign] == "E"
+                samples[(slice(None),) * axis + (-1,)] = -value
+                check_box_labels(samples)
 
 
 # Grids named by (eigenvalue, coefficients, n), counted with quotient=True:

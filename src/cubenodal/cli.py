@@ -12,12 +12,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from operator import itemgetter
 
-from . import __version__
+from . import __version__, quadric
 from .bounds import FABER_KRAHN_RATIO, pleijel_cutoff, screen_candidates
-from .nodal import RESOLUTION_CAP, EigenCombo, count_nodal_domains, sweep_eigenspace
+from .nodal import RESOLUTION_CAP, EigenCombo, SweepResult, count_nodal_domains, sweep_eigenspace
 from .spectrum import CUBE, BoxSpec, EigenvalueGroup, ModeTriple, enumerate_groups
 from .spectrum import counting_function, product_nodal_count
 from .symmetry import symmetric_indices
@@ -253,6 +254,56 @@ def render_screen(data: dict, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# sweep
+
+# Samples this close to a quadric subcase boundary are too fragile to check.
+BOUNDARY_SKIP_RADIUS = 1e-2
+
+
+def sweep_evidence(result: SweepResult) -> dict:
+    """A sweep's tallies and per-sample records, in the verdict's field order.
+
+    On the eigenspace of the quadric predictor (the cube's eigenvalue 11) each
+    record carries the predicted count and the distance of its coefficients
+    from the predictor's subcase boundaries, and every sample farther than
+    ``BOUNDARY_SKIP_RADIUS`` is checked against its grid count.  Elsewhere
+    both fields are None and nothing is checked or skipped.
+    """
+    modes = result.group.modes
+    predictable = set(modes) == set(quadric.LAMBDA11_MODES)
+    records = []
+    for s in result.samples:
+        record = {
+            "index": s.index,
+            "coeffs": list(s.coeffs),
+            "total": s.count.total,
+            "converged": s.count.converged,
+            "resolution_used": s.count.resolution_used,
+            "predicted": None,
+            "boundary_distance": None,
+        }
+        if predictable:
+            abc = quadric.sine_coeffs_from_modes(modes, s.coeffs)
+            record["predicted"] = quadric.predict_components(quadric.reduce_to_quadric(*abc)).count
+            record["boundary_distance"] = quadric.boundary_distance(*abc)
+        records.append(record)
+    predicted = [r for r in records if r["predicted"] is not None]
+    checked = [r for r in predicted if r["boundary_distance"] > BOUNDARY_SKIP_RADIUS]
+    return {
+        "samples": len(records),
+        "resolution": result.n0,
+        "seed": result.seed,
+        "histogram": {str(t): v for t, v in result.histogram.items()},
+        "max_total": max(result.histogram),
+        "predictor_checked": len(checked),
+        "predictor_mismatches": sum(r["predicted"] != r["total"] for r in checked),
+        "boundary_skipped": len(predicted) - len(checked),
+        "non_converged": list(result.non_converged),
+        "records": records,
+    }
+
+
+# ---------------------------------------------------------------------------
 # verdict
 
 def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, cap: int) -> dict:
@@ -294,33 +345,16 @@ def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, c
                     f"domain(s) at resolution {count.resolution_used}, converged={count.converged}"
                 )
             continue
-        result = sweep_eigenspace(group, samples, resolution, seed=seed, cap=cap)
-        histogram = result.histogram
-        max_total = max(histogram)
-        # Samples within 1e-2 of a subcase boundary are too fragile to check.
-        predicted = [s for s in result.samples if s.predicted is not None]
-        checked = [s for s in predicted if s.boundary_distance > 1e-2]
-        mismatches = sum(s.predicted.count != s.count.total for s in checked)
-        for idx in result.non_converged:
+        evidence = sweep_evidence(sweep_eigenspace(group, samples, resolution, seed=seed, cap=cap))
+        del evidence["records"]
+        max_total, mismatches = evidence["max_total"], evidence["predictor_mismatches"]
+        for idx in evidence["non_converged"]:
             warnings.append(
                 f"sweep sample {idx} of eigenvalue {_format_value(group.value)} "
                 f"did not converge by resolution {cap}"
             )
         excluded = max_total < k and mismatches == 0
-        sweep_report = {
-            "value": group.value,
-            "k_min": k,
-            "samples": result.n_samples,
-            "resolution": result.n0,
-            "seed": result.seed,
-            "histogram": {str(t): v for t, v in histogram.items()},
-            "max_total": max_total,
-            "predictor_checked": len(checked),
-            "predictor_mismatches": mismatches,
-            "boundary_skipped": len(predicted) - len(checked),
-            "non_converged": list(result.non_converged),
-            "courant_sharp": not excluded,
-        }
+        sweep_report = {"value": group.value, "k_min": k, **evidence, "courant_sharp": not excluded}
         if not excluded:
             unresolved.append(k)
             warnings.append(
@@ -447,51 +481,24 @@ def _run_nodal(args) -> tuple[str, int]:
 def _run_sweep(args) -> tuple[str, int]:
     group = _cube_group(args.value)
     result = sweep_eigenspace(group, args.samples, args.resolution, seed=args.seed, cap=args.cap)
-    records = [
-        {
-            "index": s.index,
-            "coeffs": list(s.coeffs),
-            "total": s.count.total,
-            "converged": s.count.converged,
-            "resolution_used": s.count.resolution_used,
-            "predicted": None if s.predicted is None else s.predicted.count,
-            "boundary_distance": s.boundary_distance,
-        }
-        for s in result.samples
-    ]
-    data = {
-        "schema": 1,
-        "command": "sweep",
-        "eigenvalue": group.value,
-        "k_min": group.k_min,
-        "samples": result.n_samples,
-        "resolution": result.n0,
-        "seed": result.seed,
-        "histogram": {str(k): v for k, v in result.histogram.items()},
-        "non_converged": list(result.non_converged),
-        "records": records,
-    }
+    evidence = sweep_evidence(result)
+    data = {"schema": 1, "command": "sweep", "eigenvalue": group.value, "k_min": group.k_min}
+    # The verdict's tallies stay out of the sweep report.
+    for key in ("samples", "resolution", "seed", "histogram", "non_converged", "records"):
+        data[key] = evidence[key]
     head = [
         f"Eigenspace sweep at lambda={_format_value(group.value)} "
-        f"(k_min={group.k_min}): {result.n_samples} samples, "
-        f"resolution {result.n0}, seed {result.seed}",
-        "histogram: {" + ", ".join(f"{k}: {v}" for k, v in result.histogram.items()) + "}",
-        f"non-converged samples: {len(result.non_converged)}",
+        f"(k_min={group.k_min}): {data['samples']} samples, "
+        f"resolution {data['resolution']}, seed {data['seed']}",
+        "histogram: {" + ", ".join(f"{k}: {v}" for k, v in data["histogram"].items()) + "}",
+        f"non-converged samples: {len(data['non_converged'])}",
     ]
-    text = _render(data, args.format, records, SWEEP_COLUMNS, head)
-    return text, EXIT_WARNINGS if result.non_converged else EXIT_OK
+    text = _render(data, args.format, data["records"], SWEEP_COLUMNS, head)
+    return text, EXIT_WARNINGS if data["non_converged"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubenodal", description=__doc__)
@@ -503,7 +510,7 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         if formats:
             p.add_argument("--format", choices=formats, default="md")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=os.path.abspath, default=None)
         return p
 
     def counting(p, *, samples=True):
@@ -543,12 +550,20 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = args.out
     try:
+        # Refused before the run, which can take minutes, rather than after it.
+        if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+            raise ValueError(f"--out {out} is not a file in an existing directory")
         text, code = args.run(args)
     except ValueError as exc:
         print(f"cubenodal: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(text, args.out)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return code
 
 

@@ -23,6 +23,8 @@ With no mirror, the antipodal map g: i -> n - i on every axis sends each mode
 to (-1)^(l+m+n+1) times itself.  If all active modes share that sign, only
 x-rows i <= n/2 are sampled at even n, and the whole grid's components are
 counted on a double cover of that half, glued across the plane i = n/2.
+
+Sweeps only count; `cli.sweep_evidence` adds the quadric predictor.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import ndtri
 
-from . import quadric
 from .spectrum import EigenvalueGroup, ModeTriple
 from .symmetry import Parity, eigenspace_parity
 
@@ -541,14 +542,11 @@ class SweepSample:
     index: int
     coeffs: tuple[float, ...]
     count: NodalCount
-    predicted: quadric.ComponentPrediction | None = None
-    boundary_distance: float | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
     group: EigenvalueGroup
-    n_samples: int
     n0: int
     seed: int
     samples: tuple[SweepSample, ...]
@@ -562,10 +560,6 @@ class SweepResult:
         return tuple(s.index for s in self.samples if not s.count.converged)
 
 
-def _is_lambda11_cube_group(group: EigenvalueGroup) -> bool:
-    return group.value == 11 and set(group.modes) == set(quadric.LAMBDA11_MODES)
-
-
 def sweep_eigenspace(
     group: EigenvalueGroup,
     n_samples: int,
@@ -577,25 +571,16 @@ def sweep_eigenspace(
     """Count nodal domains over a low-discrepancy sweep of the eigenspace.
 
     Coefficient vectors are drawn quasi-uniformly on the unit sphere of the
-    group's coefficient space.  For the eigenvalue-11 group of the cube each
-    sample also carries the quadric predictor's count and the distance of its
-    coefficients from the predictor's subcase boundaries.  Non-converged
-    samples are reported in place, never dropped; sample order is by index
-    regardless of how the evaluations are scheduled.
+    group's coefficient space, and each sample holds only its index, its
+    coefficients and its count.  Non-converged samples are reported in place,
+    never dropped; sample order is by index regardless of how the evaluations
+    are scheduled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     points = sphere_samples(group.multiplicity, n_samples, seed)
-    check_quadric = _is_lambda11_cube_group(group)
     samples = []
     for i, row in enumerate(points):
         combo = EigenCombo(group, tuple(row))
-        count = count_nodal_domains(combo, n0, cap)
-        prediction = None
-        distance = None
-        if check_quadric:
-            abc = quadric.sine_coeffs_from_modes(group.modes, combo.coeffs)
-            prediction = quadric.predict_components(quadric.reduce_to_quadric(*abc))
-            distance = quadric.boundary_distance(*abc)
-        samples.append(SweepSample(i, combo.coeffs, count, prediction, distance))
-    return SweepResult(group, n_samples, n0, seed, tuple(samples))
+        samples.append(SweepSample(i, combo.coeffs, count_nodal_domains(combo, n0, cap)))
+    return SweepResult(group, n0, seed, tuple(samples))

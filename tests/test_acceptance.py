@@ -146,9 +146,9 @@ def test_criterion_07_lambda11_sweep():
     assert sum(histogram.values()) == 500
     assert result.non_converged == ()
     mismatches = [
-        s.index
-        for s in result.samples
-        if s.boundary_distance > 1e-2 and s.predicted.count != s.count.total
+        r["index"]
+        for r in cli.sweep_evidence(result)["records"]
+        if r["boundary_distance"] > cli.BOUNDARY_SKIP_RADIUS and r["predicted"] != r["total"]
     ]
     assert mismatches == []
     # Every sample's count, pinned: any drift in the counting kernel fails here.

@@ -7,10 +7,13 @@ import pytest
 
 from cubenodal import CUBE, BoxSpec, cli, enumerate_groups, nodal, pleijel_cutoff
 from cubenodal.nodal import NodalCount, SweepResult, SweepSample
+from cubenodal.quadric import ComponentPrediction
 from helpers import EIGENVALUE_TABLE
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "table_golden.md"
+
+SWEEP_GOLDEN_ARGV = ["sweep", "--value", "11", "--samples", "6", "--resolution", "32", "--seed", "2"]
 
 # Reports pinned byte for byte.  json is left out: the round-trip tests cover
 # it, and float reprs are not pinned across platforms.
@@ -21,6 +24,7 @@ GOLDEN_REPORTS = [
     (["screen", "--format", "csv"], "screen_golden.csv"),
     (["screen", "--lambda-max", "300", "--format", "csv"], "screen_golden_300.csv"),
     (["verdict", "--samples", "6", "--resolution", "32", "--seed", "2"], "verdict_golden.md"),
+    (SWEEP_GOLDEN_ARGV, "sweep_golden.md"),
 ]
 
 
@@ -289,6 +293,31 @@ def test_reports_unchanged_by_the_direct_group(argv, capsys, monkeypatch):
     assert direct == run_main(argv, capsys)
 
 
+def test_sweep_json_records_pinned(capsys):
+    # The golden sweep's records: every field but the float reprs, which
+    # are pinned only as the side of the skip radius each distance lies on.
+    code, out = run_main(SWEEP_GOLDEN_ARGV + ["--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [list(r) for r in records] == [
+        ["index", "coeffs", "total", "converged", "resolution_used", "predicted",
+         "boundary_distance"]
+    ] * 6
+    got = [
+        (r["index"], r["total"], r["converged"], r["resolution_used"], r["predicted"],
+         r["boundary_distance"] > cli.BOUNDARY_SKIP_RADIUS)
+        for r in records
+    ]
+    assert got == [
+        (0, 3, True, 64, 3, True),
+        (1, 2, True, 64, 2, True),
+        (2, 2, True, 64, 2, True),
+        (3, 2, True, 64, 2, True),
+        (4, 2, True, 64, 2, True),
+        (5, 3, True, 64, 3, True),
+    ]
+
+
 def test_sweep_value_must_be_eigenvalue(capsys):
     code, _ = run_main(["sweep", "--value", "10"], capsys)
     assert code == 1
@@ -364,7 +393,7 @@ def test_verdict_survivor_not_excluded_exits_with_warning(capsys, monkeypatch):
     def reaching(group, n_samples, n0, *, seed, cap):
         count = NodalCount(4, 4, 0, 2 * n0, True)
         sample = SweepSample(0, (1.0,) + (0.0,) * (group.multiplicity - 1), count)
-        return SweepResult(group, 1, n0, seed, (sample,))
+        return SweepResult(group, n0, seed, (sample,))
 
     monkeypatch.setattr(cli, "sweep_eigenspace", reaching)
     code, out = run_main(["verdict", "--format", "json"], capsys)
@@ -373,3 +402,38 @@ def test_verdict_survivor_not_excluded_exits_with_warning(capsys, monkeypatch):
     assert data["eigenspace_sweep"]["courant_sharp"] is True
     assert data["unresolved"] == [8]
     assert any("k=8" in w and "not excluded" in w for w in data["warnings"])
+
+
+def test_verdict_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
+    # A predictor that disagrees with every grid count (2 or 3 at eigenvalue 11).
+    wrong = ComponentPrediction(5, "wrong")
+    monkeypatch.setattr(cli.quadric, "predict_components", lambda q: wrong)
+    code, out = run_main(
+        ["verdict", "--samples", "6", "--resolution", "32", "--seed", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 2
+    data = json.loads(out)
+    sweep = data["eigenspace_sweep"]
+    assert sweep["predictor_checked"] > 0
+    assert sweep["predictor_mismatches"] == sweep["predictor_checked"]
+    assert sweep["max_total"] < 8
+    assert sweep["courant_sharp"] is True
+    assert data["unresolved"] == [8]
+    assert any("k=8" in w and "predictor mismatch" in w for w in data["warnings"])
+
+
+@pytest.mark.parametrize("target", ["missing/report.md", "."], ids=["no-directory", "directory"])
+def test_unusable_out_is_refused_before_counting(target, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("counted before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep_eigenspace", fail)
+    for argv in (["sweep", "--samples", "2"], ["verdict", "--samples", "2"]):
+        code = cli.main(argv + ["--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cubenodal: error: --out ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()

@@ -26,6 +26,7 @@ from cubenodal import (
     sweep_eigenspace,
 )
 from cubenodal import nodal
+from cubenodal.cli import BOUNDARY_SKIP_RADIUS, sweep_evidence
 from cubenodal.quadric import boundary_distance, sine_coeffs_from_modes
 from helpers import group_at, lambda11_combo
 
@@ -191,7 +192,7 @@ def test_sphere_samples_dimension_one():
 def test_sweep_ground_state():
     result = sweep_eigenspace(group_at(3), 1, 32)
     assert result.histogram == {1: 1}
-    assert result.samples[0].predicted is None
+    assert sweep_evidence(result)["records"][0]["predicted"] is None
 
 
 def test_sweep_first_excited_always_two():
@@ -206,11 +207,11 @@ def test_sweep_lambda11_histogram_and_predictor():
     result = sweep_eigenspace(group_at(11), 40, 64, seed=1)
     assert set(result.histogram) <= {2, 3, 4}
     assert result.non_converged == ()
-    for sample in result.samples:
-        assert sample.predicted is not None
-        assert sample.boundary_distance is not None
-        if sample.boundary_distance > 1e-2:
-            assert sample.predicted.count == sample.count.total
+    for record in sweep_evidence(result)["records"]:
+        assert record["predicted"] is not None
+        assert record["boundary_distance"] is not None
+        if record["boundary_distance"] > BOUNDARY_SKIP_RADIUS:
+            assert record["predicted"] == record["total"]
 
 
 def test_predictor_matches_grid_away_from_boundaries():
@@ -221,7 +222,7 @@ def test_predictor_matches_grid_away_from_boundaries():
         a, b, c = rng.normal(size=3)
         norm = math.sqrt(a * a + b * b + c * c)
         a, b, c = a / norm, b / norm, c / norm
-        if boundary_distance(a, b, c) <= 1e-2:
+        if boundary_distance(a, b, c) <= BOUNDARY_SKIP_RADIUS:
             continue
         predicted = predict_components(reduce_to_quadric(a, b, c)).count
         count = count_nodal_domains(lambda11_combo(a, b, c), 64)

@@ -266,8 +266,9 @@ def sweep_evidence(result: SweepResult) -> dict:
     On the eigenspace of the quadric predictor (the cube's eigenvalue 11) each
     record carries the predicted count and the distance of its coefficients
     from the predictor's subcase boundaries, and every sample farther than
-    ``BOUNDARY_SKIP_RADIUS`` is checked against its grid count.  Elsewhere
-    both fields are None and nothing is checked or skipped.
+    ``BOUNDARY_SKIP_RADIUS`` is checked against its grid count; ``mismatched``
+    lists the indices of those that disagree.  Elsewhere both fields are None
+    and nothing is checked or skipped.
     """
     modes = result.group.modes
     predictable = set(modes) == set(quadric.LAMBDA11_MODES)
@@ -289,6 +290,7 @@ def sweep_evidence(result: SweepResult) -> dict:
         records.append(record)
     predicted = [r for r in records if r["predicted"] is not None]
     checked = [r for r in predicted if r["boundary_distance"] > BOUNDARY_SKIP_RADIUS]
+    mismatched = [r["index"] for r in checked if r["predicted"] != r["total"]]
     return {
         "samples": len(records),
         "resolution": result.n0,
@@ -296,7 +298,8 @@ def sweep_evidence(result: SweepResult) -> dict:
         "histogram": {str(t): v for t, v in result.histogram.items()},
         "max_total": max(result.histogram),
         "predictor_checked": len(checked),
-        "predictor_mismatches": sum(r["predicted"] != r["total"] for r in checked),
+        "predictor_mismatches": len(mismatched),
+        "mismatched": mismatched,
         "boundary_skipped": len(predicted) - len(checked),
         "non_converged": list(result.non_converged),
         "records": records,
@@ -346,7 +349,7 @@ def build_verdict(lambda_max: float, samples: int, resolution: int, seed: int, c
                 )
             continue
         evidence = sweep_evidence(sweep_eigenspace(group, samples, resolution, seed=seed, cap=cap))
-        del evidence["records"]
+        del evidence["records"], evidence["mismatched"]
         max_total, mismatches = evidence["max_total"], evidence["predictor_mismatches"]
         for idx in evidence["non_converged"]:
             warnings.append(
@@ -494,7 +497,11 @@ def _run_sweep(args) -> tuple[str, int]:
         f"non-converged samples: {len(data['non_converged'])}",
     ]
     text = _render(data, args.format, data["records"], SWEEP_COLUMNS, head)
-    return text, EXIT_WARNINGS if data["non_converged"] else EXIT_OK
+    # The report stays as it is; a mismatch is named on stderr and in the exit code.
+    if evidence["mismatched"]:
+        indices = ", ".join(map(str, evidence["mismatched"]))
+        print(f"cubenodal: warning: predictor mismatch at sample(s) {indices}", file=sys.stderr)
+    return text, EXIT_WARNINGS if data["non_converged"] or evidence["mismatched"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

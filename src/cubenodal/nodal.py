@@ -2,7 +2,10 @@
 
 An eigenfunction is sampled on the interior lattice x = i pi/n, 1 <= i <= n-1
 (per axis); the strictly positive and strictly negative sample sets are
-labeled under 6-neighbor (face) connectivity and counted separately.  Samples
+labeled under 6-neighbor (face) connectivity and counted separately.  Labels
+are found on runs, the stretches of one sign along z within a line of the
+grid: two runs are face neighbors if they overlap in adjacent lines, and
+union-find over those links gives the components.  Samples
 that are exactly zero belong to no component: sign regions of an
 eigenfunction are open, and zeros land exactly on lattice-aligned nodal
 planes, so assigning them to either side would corrupt counts.
@@ -34,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 from scipy.special import ndtri
 
 from .spectrum import EigenvalueGroup, ModeTriple
@@ -57,8 +59,6 @@ __all__ = [
 RESOLUTION_CAP = 512
 # Samples evaluated at once by count_components: 2 MiB of float64.
 SLAB_POINTS = 1 << 18
-
-_FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 def _g_sign(mode: ModeTriple) -> int:
@@ -233,101 +233,96 @@ def _labels_on(plane: np.ndarray, base: int, count: int) -> list[int]:
     return (np.flatnonzero(seen[1:]) + (base + 1)).tolist()
 
 
-def _bounds(rows: np.ndarray, plane: np.ndarray, value: bool) -> tuple[int, ...]:
-    """The box (x0, x1, y0, y1, z0, z1) that bounds the samples equal to ``value``,
-    read off their projections on x (``rows``) and on the yz-plane (``plane``):
-    any-projections for True, all-projections for False.  All 0, an empty box,
-    if there are none."""
-    x, yz, zy = rows.tobytes(), plane.tobytes(), plane.T.tobytes()
-    x0 = x.find(value)
-    if x0 < 0:
-        return (0,) * 6
-    sy, sz = plane.shape
-    return (x0, x.rfind(value) + 1, yz.find(value) // sz, yz.rfind(value) // sz + 1,
-            zy.find(value) // sy, zy.rfind(value) // sy + 1)
+def _label_runs(
+    v: np.ndarray, marks: np.ndarray, spare: np.ndarray, axes: list[int], first: bool
+) -> tuple[np.ndarray, list[tuple]]:
+    """The masks v > 0 and v < 0 of the slab ``v`` (shape (2, sx, sy, sz)), and
+    each one's face-connected components as ``_Components.add`` takes them:
+    the count, the labels of the first x-row (if ``first``) and of the last,
+    and, by axis in ``axes``, the labels of the runs on the y or z mirror
+    plane, one per run in the order of the runs.
 
-
-def _widened(box: tuple[int, ...], shape: tuple[int, ...]) -> tuple[int, ...]:
-    """``box`` widened by one on every side and clipped to ``shape``."""
-    x0, x1, y0, y1, z0, z1 = box
-    sx, sy, sz = shape
-    return (max(x0 - 1, 0), min(x1 + 1, sx), max(y0 - 1, 0), min(y1 + 1, sy),
-            max(z0 - 1, 0), min(z1 + 1, sz))
-
-
-def _volume(box: tuple[int, ...]) -> int:
-    x0, x1, y0, y1, z0, z1 = box
-    return (x1 - x0) * (y1 - y0) * (z1 - z0)
-
-
-def _boxes(pair: np.ndarray) -> list[tuple[tuple[int, ...], bool]]:
-    """For each of the disjoint masks ``pair`` (shape (2, sx, sy, sz)), the box
-    ``_label_box`` labels and whether it is E.
-
-    B is the bounding box of the mask and E that of the samples not in it,
-    widened by one and clipped; the smaller is taken, B on a tie.  E is no
-    smaller than the other mask's B widened, since it holds that mask, so E
-    is sought only if that is smaller than B.  Extents come from any/all
-    projections: two reductions of the pair give both B, two of a mask its E.
+    Both masks go into the bytes ``marks`` at once, laid out (2, sx+1, sy+1,
+    sz+1) with zeros at z index 0, y index sy and x index sx, and one mark
+    after the end.  A run of marks is then a run of one sign along z in one
+    line; ``bounds`` (where the marks change, found in the bytes ``spare``)
+    holds each run's start and end, less one, and a start for the last mark.
+    A position's face neighbours lie ``line`` and ``plane`` on, and the zeros
+    keep them off other x-rows, signs and slabs.  Two runs are linked if one
+    overlaps the other shifted by such a step; one of the two is the first
+    run the other overlaps in its line, so one ``searchsorted`` per step,
+    forward and back, finds every link.  Union-find hooks the larger root of
+    each link to the smaller, then labels jump to their roots as often as a
+    chain of every run takes.  A component's root is its first run, so each
+    sign's are numbered from 1 in order, positive first.
     """
-    rows, planes = np.logical_or.reduce(pair, (2, 3)), np.logical_or.reduce(pair, 1)
-    own = _bounds(rows[0], planes[0], True), _bounds(rows[1], planes[1], True)
-    boxes = []
-    for mask, box, other in zip(pair, own, own[::-1]):
-        if _volume(_widened(other, mask.shape)) < _volume(box):
-            plane = np.logical_and.reduce(mask)
-            rest = _widened(_bounds(np.logical_and.reduce(mask, (1, 2)), plane, False), mask.shape)
-            if _volume(rest) < _volume(box):
-                boxes.append((rest, True))
-                continue
-        boxes.append((box, False))
-    return boxes
+    sx, sy, sz = v.shape
+    line = sz + 1
+    plane = (sy + 1) * line
+    half = (sx + 1) * plane
+    marks[: 2 * half].fill(False)
+    masks = marks[: 2 * half].reshape(2, sx + 1, sy + 1, line)[:, :sx, :sy, 1:]
+    np.greater(v, 0.0, out=masks[0])
+    np.less(v, 0.0, out=masks[1])
+    marks[2 * half] = True
+    changes = spare[: 2 * half].view(bool)
+    np.not_equal(marks[1 : 2 * half + 1], marks[: 2 * half], out=changes)
+    bounds = np.flatnonzero(changes)
+    starts, ends = bounds[0::2], bounds[1::2]
+    n = len(ends)
+    own = np.arange(n)
+    steps = np.array((line, plane, -line, -plane))[:, None]
+    near = ends.searchsorted(starts[:n] + steps, "right")
+    linked = np.flatnonzero(starts[near] < ends + steps)
+    a, b = near.take(linked), linked % max(n, 1)
+    labels = own.copy()
+    while a.size:
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        for _ in range(n.bit_length()):
+            labels = labels[labels]
+        a, b = labels[a], labels[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    root = labels == own
+    split = int(starts.searchsorted(half))  # the runs of v > 0 come first
+    counts = np.count_nonzero(root[:split]), np.count_nonzero(root[split:])
+    labels = np.cumsum(root)[labels]
+    labels[split:] -= counts[0]
 
+    def painted(x: int) -> np.ndarray:
+        """The labels of x-row x, shape (2, sy, sz), laid out by the lengths of
+        its runs and the gaps between them; the row in the half of v < 0 is
+        moved up to follow the row in the half of v > 0."""
+        row = x * plane
+        lo, hi, lo_, hi_ = starts.searchsorted((row, row + plane, half + row, half + row + plane))
+        runs = bounds[2 * lo : 2 * hi], bounds[2 * lo_ : 2 * hi_] - (half - plane)
+        cuts = np.concatenate(((row,), *runs, (row + 2 * plane,)))
+        values = np.zeros(len(cuts) - 1, labels.dtype)
+        values[1::2] = np.concatenate((labels[lo:hi], labels[lo_:hi_]))
+        return np.repeat(values, cuts[1:] - cuts[:-1]).reshape(2, sy + 1, line)[:, :sy, :sz]
 
-def _label_box(
-    mask: np.ndarray, box: tuple[int, ...], edge: bool, labels: np.ndarray, scratch: np.ndarray
-) -> int:
-    """``ndimage.label(mask, output=labels)``, up to a bijection of the labels,
-    labelling only ``box``: B, or E if ``edge`` (see ``_boxes``).
-
-    The rest of ``labels`` is known without labelling.  Outside B every label
-    is 0.  Outside E every sample is in the mask, and the region beyond a face
-    of E takes the label of that face, which lies in the mask.  Faces on
-    different axes meet along an edge of E, so every face before E carries
-    the label of its first corner and every face after it that of its last;
-    only faces on one axis, with E spanning the other two, can differ.  An
-    empty mask has an empty B and a full one a one-cell E.  The box's mask
-    and labels are copied into the bytes ``scratch``, contiguous, for
-    ``ndimage.label``; a box no smaller than the mask is not copied, and the
-    whole mask is labelled into ``labels``.
-    """
-    volume = _volume(box)
-    if volume >= mask.size:
-        return ndimage.label(mask, structure=_FACE_STRUCTURE, output=labels)
-    spans = tuple(slice(lo, hi) for lo, hi in zip(box[::2], box[1::2]))
-    shape = [hi - lo for lo, hi in zip(box[::2], box[1::2])]
-    part = scratch[: 4 * volume].view(np.int32).reshape(shape)
-    inside = scratch[4 * volume : 5 * volume].view(np.bool_).reshape(shape)
-    np.copyto(inside, mask[spans])
-    count = ndimage.label(inside, structure=_FACE_STRUCTURE, output=part)
-    labels.fill(part.flat[0] if edge else 0)
-    if edge:
-        for axis, hi in enumerate(box[1::2]):
-            if hi < labels.shape[axis]:
-                labels[(slice(None),) * axis + (slice(hi, None),)] = part.flat[-1]
-    labels[spans] = part
-    return count
+    last = painted(sx - 1)
+    first = (last if sx == 1 else painted(0)) if first else (None, None)
+    # Runs on the y mirror plane lie in line sy-1 of an x-row; those on the z one end a line.
+    on = {
+        axis: ends % line == sz if axis == 2 else starts[:n] // line % (sy + 1) == sy - 1
+        for axis in axes
+    }
+    return masks, [
+        (int(count), first[sign], last[sign],
+         {axis: labels[part][touch[part]] for axis, touch in on.items()})
+        for sign, (count, part) in enumerate(zip(counts, (slice(split), slice(split, None))))
+    ]
 
 
 class _Components:
     """Face-connected components of a mask fed in slabs of consecutive x-rows.
 
-    Each slab is labelled on its own into a caller's buffer, its labels
-    numbered on from a ``base``, and ``_join`` merges the labels that meet
-    across the face between two slabs.  Nothing kept refers to the buffer:
-    the last x-row's local labels (``last_row``, numbered from ``last_base``)
-    and the labels on the y and z mirror planes are copied out, so the buffer
-    is free for reuse once ``add`` returns.  The x mirror plane, if any, is
+    Each slab's components are labelled on their own (``_label_runs``), their
+    labels numbered on from a ``base``, and ``_join`` merges the labels that
+    meet across the face between two slabs.  Of a slab only the last x-row's
+    local labels (``last_row``, numbered from ``last_base``) and the labels
+    on the y and z mirror planes are kept.  The x mirror plane, if any, is
     the last ``last_row``.
     """
 
@@ -338,21 +333,17 @@ class _Components:
         self.last_row: np.ndarray | None = None
         self.last_base = 0
 
-    def add(
-        self, mask: np.ndarray, box: tuple[int, ...], edge: bool, labels: np.ndarray,
-        scratch: np.ndarray,
-    ) -> None:
-        """Label the slab ``mask`` into ``labels``, an int32 array of its shape, by
-        ``_label_box`` with ``box``, ``edge`` and ``scratch``; ``labels`` then
-        equals ``ndimage.label``'s output up to a bijection of the labels."""
-        count = _label_box(mask, box, edge, labels, scratch)
+    def add(self, count: int, first: np.ndarray | None, last: np.ndarray, on_planes: dict) -> None:
+        """Take a slab's ``count`` components, labelled 1..count: the labels of
+        its first x-row (read only after another slab) and of its last, and
+        those on the y and z mirror planes, by axis (``on_planes``)."""
         base = len(self.parent) - 1
         self.parent.extend(range(base + 1, base + count + 1))
         if self.last_row is not None:
-            _join(self.parent, self.last_row, labels[0], (self.last_base, base))
+            _join(self.parent, self.last_row, first, (self.last_base, base))
         for axis, on_plane in self.on_plane.items():
-            on_plane += _labels_on(labels[:, -1] if axis == 1 else labels[..., -1], base, count)
-        self.last_row, self.last_base = labels[-1].astype(np.int64), base
+            on_plane += _labels_on(on_planes[axis], base, count)
+        self.last_row, self.last_base = last, base
 
     def count(self, image: "_Components | None" = None) -> int:
         """Components of the whole grid; this object is left as it is.
@@ -381,21 +372,20 @@ class _Components:
         return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
 
 
-# The slab workspace of count_components: samples, the masks > 0 and < 0,
-# and labels; the samples' bytes also hold a labelled box.  It is allocated
-# on first use, sized to SLAB_POINTS, and kept for the life of the process,
-# so every later count reuses its pages instead of allocating (and faulting
-# in) its slabs afresh.  count_components is therefore not reentrant across
-# threads.
-_workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+# The slab workspace of count_components, two byte buffers: samples, whose
+# bytes then hold the changes of _label_runs, and the marks of _label_runs.
+# Each is allocated on first use, at least SLAB_POINTS samples' worth, grown
+# when a count needs more, and kept for the life of the process, so every
+# later count reuses its pages instead of allocating (and faulting in) its
+# slabs afresh.  count_components is therefore not reentrant across threads.
+_workspace: tuple[np.ndarray, ...] = ()
 
 
-def _slab_workspace(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The workspace, grown first if it holds fewer than ``points`` samples."""
+def _slab_workspace(*sizes: int) -> tuple[np.ndarray, ...]:
+    """The workspace, grown first if a buffer holds fewer bytes than ``sizes``."""
     global _workspace
-    if _workspace is None or len(_workspace[0]) < points:
-        size = max(SLAB_POINTS, points)
-        _workspace = (np.empty(size), np.empty((2, size), bool), np.empty(size, np.int32))
+    if len(_workspace) < len(sizes) or any(len(w) < size for w, size in zip(_workspace, sizes)):
+        _workspace = tuple(np.empty(max(size, 8 * SLAB_POINTS), np.uint8) for size in sizes)
     return _workspace
 
 
@@ -417,31 +407,28 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     component onto one of the other sign, so then the two signs split the
     total evenly.  The grid is evaluated, compared and labelled in slabs of
     at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
-    written into one workspace that every count reuses.  Each sign of a slab
-    is labelled only inside the smaller of two boxes, its bounding box B or
-    the widened bounding box E of the rest (``_boxes``, ``_label_box``); the
-    labels outside follow from the box.  A slab's zeros are the samples in
-    neither sign mask, so no third comparison is made.
+    written into one workspace that every count reuses.  Both signs of a
+    slab are labelled at once, on their runs along z (``_label_runs``), and
+    only the x-rows and mirror planes read later get labels per sample.  A
+    slab's zeros are the samples in neither sign mask, so no third
+    comparison is made.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
-    samples, masks, labels = _slab_workspace(step * sy * sz)
-    # Once a slab's masks are made its samples are spent, and their bytes
-    # hold the box that _label_box labels, its mask and its labels.
-    scratch = samples.view(np.uint8)
+    layout = 2 * (step + 1) * (sy + 1) * (sz + 1)  # the bytes of _label_runs' marks
+    samples, marks = _slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
     positive, negative = _Components(mirror_axes), _Components(mirror_axes)
     yz_axes = [axis for axis in mirror_axes if axis]
     n_zero = 0
     for start in range(0, sx, step):
-        v = grid.rows(start, min(start + step, sx), out=samples)
-        pair = masks[:, : v.size].reshape(2, *v.shape)
-        above, below = pair
-        slab_labels = labels[: v.size].reshape(v.shape)
-        np.greater(v, 0.0, out=above)
-        np.less(v, 0.0, out=below)
-        for components, mask, (box, edge) in zip((positive, negative), pair, _boxes(pair)):
-            components.add(mask, box, edge, slab_labels, scratch)
+        v = grid.rows(start, min(start + step, sx), out=samples.view(np.float64))
+        # Once the masks are made the samples are spent, and their bytes hold
+        # the changes of the marks.
+        masks, signs = _label_runs(v, marks, samples, yz_axes, start > 0)
+        above, below = masks
+        for components, sign in zip((positive, negative), signs):
+            components.add(*sign)
         n_zero += _zeros(above, below, yz_axes)
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:

@@ -1,8 +1,20 @@
 """Shared oracles, constructors and frozen reference data for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 from cubenodal import CUBE, EigenCombo, enumerate_groups
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """This process's environment, with the checkout's ``src`` first on
+    PYTHONPATH, so a child Python imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 # Published table of the cube's Dirichlet eigenvalues up to 48:
 # (k_min, k_max, eigenvalue, mode families up to axis permutation).

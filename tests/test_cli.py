@@ -8,7 +8,7 @@ import pytest
 from cubenodal import CUBE, BoxSpec, cli, enumerate_groups, nodal, pleijel_cutoff
 from cubenodal.nodal import NodalCount, SweepResult, SweepSample
 from cubenodal.quadric import ComponentPrediction
-from helpers import EIGENVALUE_TABLE
+from helpers import EIGENVALUE_TABLE, child_env
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "table_golden.md"
@@ -33,6 +33,7 @@ def run_cli(args):
         [sys.executable, "-m", "cubenodal", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -421,6 +422,23 @@ def test_verdict_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
     assert sweep["courant_sharp"] is True
     assert data["unresolved"] == [8]
     assert any("k=8" in w and "predictor mismatch" in w for w in data["warnings"])
+
+
+def test_sweep_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
+    # A predictor that disagrees with every grid count (2 or 3 at eigenvalue 11).
+    wrong = ComponentPrediction(5, "wrong")
+    monkeypatch.setattr(cli.quadric, "predict_components", lambda q: wrong)
+    assert cli.main(SWEEP_GOLDEN_ARGV + ["--format", "json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    checked = [r["index"] for r in records if r["boundary_distance"] > cli.BOUNDARY_SKIP_RADIUS]
+    assert checked
+    # The report is the one without a mismatch; stderr names the checked samples.
+    assert cli.main(SWEEP_GOLDEN_ARGV) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / "sweep_golden.md").read_text()
+    assert captured.err == (
+        f"cubenodal: warning: predictor mismatch at sample(s) {', '.join(map(str, checked))}\n"
+    )
 
 
 @pytest.mark.parametrize("target", ["missing/report.md", "."], ids=["no-directory", "directory"])

@@ -28,7 +28,7 @@ from cubenodal import (
 from cubenodal import nodal
 from cubenodal.cli import BOUNDARY_SKIP_RADIUS, sweep_evidence
 from cubenodal.quadric import boundary_distance, sine_coeffs_from_modes
-from helpers import group_at, lambda11_combo
+from helpers import child_env, group_at, lambda11_combo
 
 
 def pure_combo(l, m, n):
@@ -456,22 +456,44 @@ def planted_box(rng, shape, case):
     return lo, hi
 
 
-def check_box_labels(samples):
-    """``_label_box`` on each sign, against ``ndimage.label`` on the whole mask:
-    the same count, and labels that correspond one to one, 0 to 0."""
-    pair = np.stack([samples > 0, samples < 0])
-    kinds = []
-    for mask, (box, edge) in zip(pair, nodal._boxes(pair)):
-        expected = np.empty(mask.shape, np.int32)
-        count = ndimage.label(mask, structure=nodal._FACE_STRUCTURE, output=expected)
-        labels = np.full(mask.shape, -1, np.int32)
-        scratch = np.full(8 * mask.size, 255, np.uint8)
-        assert nodal._label_box(mask, box, edge, labels, scratch) == count
-        pairs = set(zip(expected.ravel().tolist(), labels.ravel().tolist()))
-        assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
-        assert all((a == 0) == (b == 0) for a, b in pairs)
-        kinds.append("whole" if nodal._volume(box) >= mask.size else "E" if edge else "B")
-    return kinds
+FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
+
+
+def run_labels(samples, first):
+    """``nodal._label_runs`` on ``samples``, with both mirror planes and a
+    workspace full of stale bytes."""
+    sx, sy, sz = samples.shape
+    size = 2 * (sx + 1) * (sy + 1) * (sz + 1)
+    marks, spare = np.full(size + 1, 255, np.uint8), np.full(size, 255, np.uint8)
+    return nodal._label_runs(samples.copy(), marks, spare, [1, 2], first)
+
+
+def check_run_labels(samples):
+    """``_label_runs`` on each sign, against ``ndimage.label`` on the whole mask:
+    the masks, the count, and labels on the four planes it reports that
+    correspond one to one, 0 to 0.  A mirror plane's labels come one per run
+    on it, in the order of the runs: on the y plane one per stretch of the
+    sign along z, on the z plane one per sample of the sign."""
+    for first in (True, False):
+        masks, signs = run_labels(samples, first)
+        for mask, got, (count, first_row, last_row, on_planes) in zip(
+            masks, (samples > 0, samples < 0), signs
+        ):
+            expected, expected_count = ndimage.label(got, structure=FACE_STRUCTURE)
+            assert count == expected_count
+            pairs = list(zip(expected[-1].ravel().tolist(), last_row.ravel().tolist(), strict=True))
+            if first:
+                pairs += zip(expected[0].ravel().tolist(), first_row.ravel().tolist(), strict=True)
+            else:
+                assert first_row is None
+            y_plane, z_plane = expected[:, -1, :], expected[:, :, -1]
+            stretch = (y_plane > 0) & ~np.pad(y_plane > 0, ((0, 0), (1, 0)))[:, :-1]
+            pairs += zip(y_plane[stretch].tolist(), on_planes[1].tolist(), strict=True)
+            pairs += zip(z_plane[z_plane > 0].tolist(), on_planes[2].tolist(), strict=True)
+            pairs = set(pairs)
+            assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+            assert all((a == 0) == (b == 0) for a, b in pairs)
+            assert np.array_equal(mask, got)
 
 
 BOX_CASES = {
@@ -482,33 +504,52 @@ BOX_CASES = {
 }
 
 
+def slab_shape(rng, trial):
+    # Every fourth slab is one x-row thick, as when one x-row fills a slab.
+    return (1 if trial % 4 == 0 else int(rng.integers(2, 10)), *rng.integers(1, 12, 2))
+
+
 @pytest.mark.parametrize("case", list(BOX_CASES))
 def test_box_labels_match_whole_mask_labels(case):
+    # Slabs of one sign with a box of random signs and zeros planted in them.
     rng = np.random.default_rng(list(BOX_CASES).index(case))
-    kinds = []
     for trial in range(60):
-        # Every fourth slab is one x-row thick, as when one x-row fills a slab.
-        shape = (1 if trial % 4 == 0 else int(rng.integers(2, 10)), *rng.integers(1, 12, 2))
-        kinds += check_box_labels(planted_slab(rng, shape, *planted_box(rng, shape, BOX_CASES[case])))
-    assert {"B", "E"} <= set(kinds), kinds
+        shape = slab_shape(rng, trial)
+        check_run_labels(planted_slab(rng, shape, *planted_box(rng, shape, BOX_CASES[case])))
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.1, 0.5], ids=["signs", "sparse-zeros", "dense-zeros"])
+def test_run_labels_match_whole_mask_labels_on_noise(zeros):
+    # Many runs per line.  With no zeros every run that ends inside its line
+    # meets one of the other sign, and opposite signs touch across every face.
+    rng = np.random.default_rng(int(10 * zeros))
+    p = [(1 - zeros) / 2, zeros, (1 - zeros) / 2]
+    for trial in range(60):
+        check_run_labels(rng.choice([-1.0, 0.0, 1.0], size=slab_shape(rng, trial), p=p))
 
 
 def test_box_labels_of_empty_full_and_zero_band_slabs():
-    for shape in [(1, 1, 1), (1, 5, 7), (4, 1, 6), (6, 9, 8)]:
-        # All zeros (both masks empty), and one sign throughout (one full, one empty).
-        full = "whole" if shape == (1, 1, 1) else "E"  # E is one cell
-        assert check_box_labels(np.zeros(shape)) == ["B", "B"]
-        assert check_box_labels(np.ones(shape)) == [full, "B"]
-        assert check_box_labels(-np.ones(shape)) == ["B", full]
+    for shape in [(1, 1, 1), (1, 5, 7), (4, 1, 6), (6, 9, 1), (6, 9, 8)]:
+        check_run_labels(np.zeros(shape))
+        check_run_labels(np.ones(shape))
+        check_run_labels(-np.ones(shape))
         for axis in (axis for axis in range(3) if shape[axis] > 3):
-            for sign, value in enumerate((1.0, -1.0)):
-                # A band of zeros splits one sign into two regions, beyond the
-                # two faces of an E that spans the other two axes.
+            for value in (1.0, -1.0):
+                # A band of zeros splits one sign into two regions; then the
+                # other sign takes the last plane.
                 samples = np.full(shape, value)
                 samples[(slice(None),) * axis + (1,)] = 0.0
-                assert check_box_labels(samples)[sign] == "E"
+                check_run_labels(samples)
                 samples[(slice(None),) * axis + (-1,)] = -value
-                check_box_labels(samples)
+                check_run_labels(samples)
+        # One sign but for the last z index and the last y line, where the
+        # other sign runs to the end of every line and of every x-row.
+        samples = np.ones(shape)
+        samples[..., -1] = samples[:, -1] = -1.0
+        check_run_labels(samples)
+        # Stripes of alternating sign across each axis, one component each.
+        for axis in range(3):
+            check_run_labels(np.indices(shape)[axis] % 2 * 2.0 - 1.0)
 
 
 # Grids named by (eigenvalue, coefficients, n), counted with quotient=True:
@@ -541,7 +582,7 @@ def test_counts_do_not_depend_on_what_was_counted_before():
     for key, counted in zip(HISTORY_GRIDS, in_turn):
         fresh = subprocess.run(
             [sys.executable, "-c", COUNT_FIRST.format(key)],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=child_env(),
         )
         assert fresh.stdout.strip() == counted, key
 
@@ -564,11 +605,12 @@ def test_importing_the_cli_leaves_out_scipy_stats():
     # it: the sweep draws its Halton points with nodal._scrambled_halton.
     # scipy.sparse stays out too: importing scipy.sparse.csgraph after the cli
     # raised peak RSS by 9.2 MiB, more than the benchmark's 5% bound on 64 MiB.
+    # So does scipy.ndimage: nodal._label_runs labels the sign regions itself.
     code = (
         "import contextlib, io, sys\n"
         "from cubenodal import cli\n"
         "def unloaded(step):\n"
-        "    for name in ('scipy.stats', 'scipy.sparse'):\n"
+        "    for name in ('scipy.stats', 'scipy.sparse', 'scipy.ndimage'):\n"
         "        assert name not in sys.modules, (name, step)\n"
         "unloaded('import')\n"
         "for argv in (['table'], ['table', '--box', '1,1,2'], ['screen'],\n"
@@ -579,7 +621,7 @@ def test_importing_the_cli_leaves_out_scipy_stats():
         "        assert cli.main(argv) == 0, argv\n"
         "    unloaded(argv)\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
 @pytest.mark.parametrize("dim", [*range(1, 13), 25])

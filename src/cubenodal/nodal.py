@@ -4,11 +4,13 @@ An eigenfunction is sampled on the interior lattice x = i pi/n, 1 <= i <= n-1
 (per axis); the strictly positive and strictly negative sample sets are
 labeled under 6-neighbor (face) connectivity and counted separately.  Labels
 are found on runs, the stretches of one sign along z within a line of the
-grid: two runs are face neighbors if they overlap in adjacent lines, and
-union-find over those links gives the components.  Samples
-that are exactly zero belong to no component: sign regions of an
-eigenfunction are open, and zeros land exactly on lattice-aligned nodal
-planes, so assigning them to either side would corrupt counts.
+grid: two runs are face neighbors if they overlap in adjacent lines.  Runs
+keep their labels for the whole count, and one union-find merges the links
+within each slab of x-rows, then, once per count, the pairs across slab
+faces and the antipodal glue.  Samples that are exactly zero belong to no
+component: sign regions of an eigenfunction are open, and zeros land
+exactly on lattice-aligned nodal planes, so assigning them to either side
+would corrupt counts.
 
 A count is trusted once it is stable under one resolution doubling; on
 disagreement the resolution keeps doubling up to a cap, and the final result
@@ -210,58 +212,62 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
     return ScalarGrid(n, shape, planes, sz, mirrors, inversion)
 
 
-def _root(parent: list[int], a: int) -> int:
-    while parent[a] != a:
-        parent[a] = a = parent[parent[a]]
-    return a
+def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each of the ids 0..count-1, the least id of its class,
+    once the classes of a[i] and b[i] are merged for every i.
 
-
-def _join(parent: list[int], here: np.ndarray, there: np.ndarray, bases: tuple[int, int]) -> None:
-    """Merge label bases[0] + here[p] (int64) with bases[1] + there[p] wherever both are > 0."""
-    both = (here > 0) & (there > 0)
-    keys = (here[both] + bases[0]) << 32 | (there[both] + bases[1])
-    # Labels run in stretches along a face: drop each key equal to the one
-    # before it, and only then the repeats left.
-    for key in set(keys[np.diff(keys, prepend=-1) != 0].tolist()):
-        parent[_root(parent, key >> 32)] = _root(parent, key & 0xFFFFFFFF)
-
-
-def _labels_on(plane: np.ndarray, base: int, count: int) -> list[int]:
-    """The labels base + a, 1 <= a <= count, of the local labels a in ``plane``."""
-    seen = np.zeros(count + 1, bool)
-    seen[plane] = True
-    return (np.flatnonzero(seen[1:]) + (base + 1)).tolist()
+    No Python loop runs over ids: each pair hooks the larger of its two roots
+    to the smaller (``np.minimum.at``), then every id jumps to its label's
+    label as often as a chain through every id takes, so that each holds its
+    root again.  Pairs whose ends now share a root are dropped, and the rest
+    go round again.
+    """
+    labels = np.arange(count)
+    while a.size:
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        for _ in range(count.bit_length()):
+            labels = labels[labels]
+        a, b = labels[a], labels[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    return labels
 
 
 def _label_runs(
-    v: np.ndarray, marks: np.ndarray, spare: np.ndarray, axes: list[int], first: bool
-) -> tuple[np.ndarray, list[tuple]]:
-    """The masks v > 0 and v < 0 of the slab ``v`` (shape (2, sx, sy, sz)), and
-    each one's face-connected components as ``_Components.add`` takes them:
-    the count, the labels of the first x-row (if ``first``) and of the last,
-    and, by axis in ``axes``, the labels of the runs on the y or z mirror
-    plane, one per run in the order of the runs.
+    v: np.ndarray, marks: np.ndarray, spare: np.ndarray, carry: int, base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The masks v > 0 and v < 0 of the slab ``v`` (shape (sx, sy, sz)) and
+    their face-connected components, found on runs: stretches of one sign
+    along z in one line.
 
-    Both masks go into the bytes ``marks`` at once, laid out (2, sx+1, sy+1,
-    sz+1) with zeros at z index 0, y index sy and x index sx, and one mark
-    after the end.  A run of marks is then a run of one sign along z in one
-    line; ``bounds`` (where the marks change, found in the bytes ``spare``)
-    holds each run's start and end, less one, and a start for the last mark.
-    A position's face neighbours lie ``line`` and ``plane`` on, and the zeros
-    keep them off other x-rows, signs and slabs.  Two runs are linked if one
-    overlaps the other shifted by such a step; one of the two is the first
-    run the other overlaps in its line, so one ``searchsorted`` per step,
-    forward and back, finds every link.  Union-find hooks the larger root of
-    each link to the smaller, then labels jump to their roots as often as a
-    chain of every run takes.  A component's root is its first run, so each
-    sign's are numbered from 1 in order, positive first.
+    Both masks go into the bytes ``marks`` at once, laid out (2, sx+2, sy+1,
+    sz+1) with zeros at z index 0 and y index sy, and one mark after the end.
+    X-row 0 of each half holds the marks of the previous slab's last x-row,
+    x-row ``carry`` of the layout still in ``marks`` (all zeros if ``carry``
+    is 0), x-rows 1..sx hold the slab, and x-row sx+1 is zeros.  A run of
+    marks is then a run of one sign along z in one line; ``bounds`` (where
+    the marks change, found in the bytes ``spare``) holds each run's start
+    and end, less one, and a start for the last mark.  A position's face
+    neighbours lie ``line`` and ``plane`` on, and the zeros keep them off
+    other x-rows, signs and slabs.  Two runs are linked if one overlaps the
+    other shifted by such a step; one of the two is the first run the other
+    overlaps in its line, so one ``searchsorted`` per step, forward and
+    back, finds every link, and ``_union`` merges the links.
+
+    Returns the masks of x-rows 1..sx, each run's start and end in the
+    layout, each run's component, numbered on from ``base`` in the order of
+    their first runs (so those of v > 0 come first), and the number of
+    components of each sign.
     """
     sx, sy, sz = v.shape
     line = sz + 1
     plane = (sy + 1) * line
-    half = (sx + 1) * plane
-    marks[: 2 * half].fill(False)
-    masks = marks[: 2 * half].reshape(2, sx + 1, sy + 1, line)[:, :sx, :sy, 1:]
+    half = (sx + 2) * plane
+    previous = marks[: 2 * (carry + 2) * plane].reshape(2, carry + 2, sy + 1, line)
+    layout = marks[: 2 * half].reshape(2, sx + 2, sy + 1, line)
+    layout[:, 0] = previous[:, carry] if carry else False
+    layout[:, 1:] = False
+    masks = layout[:, 1 : sx + 1, :sy, 1:]
     np.greater(v, 0.0, out=masks[0])
     np.less(v, 0.0, out=masks[1])
     marks[2 * half] = True
@@ -270,106 +276,25 @@ def _label_runs(
     bounds = np.flatnonzero(changes)
     starts, ends = bounds[0::2], bounds[1::2]
     n = len(ends)
-    own = np.arange(n)
     steps = np.array((line, plane, -line, -plane))[:, None]
     near = ends.searchsorted(starts[:n] + steps, "right")
     linked = np.flatnonzero(starts[near] < ends + steps)
-    a, b = near.take(linked), linked % max(n, 1)
-    labels = own.copy()
-    while a.size:
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        for _ in range(n.bit_length()):
-            labels = labels[labels]
-        a, b = labels[a], labels[b]
-        apart = a != b
-        a, b = a[apart], b[apart]
-    root = labels == own
+    labels = _union(n, near.take(linked), linked % max(n, 1))
+    root = labels == np.arange(n)
     split = int(starts.searchsorted(half))  # the runs of v > 0 come first
-    counts = np.count_nonzero(root[:split]), np.count_nonzero(root[split:])
-    labels = np.cumsum(root)[labels]
-    labels[split:] -= counts[0]
-
-    def painted(x: int) -> np.ndarray:
-        """The labels of x-row x, shape (2, sy, sz), laid out by the lengths of
-        its runs and the gaps between them; the row in the half of v < 0 is
-        moved up to follow the row in the half of v > 0."""
-        row = x * plane
-        lo, hi, lo_, hi_ = starts.searchsorted((row, row + plane, half + row, half + row + plane))
-        runs = bounds[2 * lo : 2 * hi], bounds[2 * lo_ : 2 * hi_] - (half - plane)
-        cuts = np.concatenate(((row,), *runs, (row + 2 * plane,)))
-        values = np.zeros(len(cuts) - 1, labels.dtype)
-        values[1::2] = np.concatenate((labels[lo:hi], labels[lo_:hi_]))
-        return np.repeat(values, cuts[1:] - cuts[:-1]).reshape(2, sy + 1, line)[:, :sy, :sz]
-
-    last = painted(sx - 1)
-    first = (last if sx == 1 else painted(0)) if first else (None, None)
-    # Runs on the y mirror plane lie in line sy-1 of an x-row; those on the z one end a line.
-    on = {
-        axis: ends % line == sz if axis == 2 else starts[:n] // line % (sy + 1) == sy - 1
-        for axis in axes
-    }
-    return masks, [
-        (int(count), first[sign], last[sign],
-         {axis: labels[part][touch[part]] for axis, touch in on.items()})
-        for sign, (count, part) in enumerate(zip(counts, (slice(split), slice(split, None))))
-    ]
+    ids = np.cumsum(root)[labels]
+    ids += base - 1
+    return masks, starts[:n], ends, ids, (
+        int(np.count_nonzero(root[:split])), int(np.count_nonzero(root[split:]))
+    )
 
 
-class _Components:
-    """Face-connected components of a mask fed in slabs of consecutive x-rows.
-
-    Each slab's components are labelled on their own (``_label_runs``), their
-    labels numbered on from a ``base``, and ``_join`` merges the labels that
-    meet across the face between two slabs.  Of a slab only the last x-row's
-    local labels (``last_row``, numbered from ``last_base``) and the labels
-    on the y and z mirror planes are kept.  The x mirror plane, if any, is
-    the last ``last_row``.
-    """
-
-    def __init__(self, mirror_axes: list[int]):
-        self.mirror_axes = mirror_axes
-        self.parent = [0]  # union-find over the labels; 0 is the background
-        self.on_plane: dict[int, list[int]] = {axis: [] for axis in mirror_axes if axis}
-        self.last_row: np.ndarray | None = None
-        self.last_base = 0
-
-    def add(self, count: int, first: np.ndarray | None, last: np.ndarray, on_planes: dict) -> None:
-        """Take a slab's ``count`` components, labelled 1..count: the labels of
-        its first x-row (read only after another slab) and of its last, and
-        those on the y and z mirror planes, by axis (``on_planes``)."""
-        base = len(self.parent) - 1
-        self.parent.extend(range(base + 1, base + count + 1))
-        if self.last_row is not None:
-            _join(self.parent, self.last_row, first, (self.last_base, base))
-        for axis, on_plane in self.on_plane.items():
-            on_plane += _labels_on(on_planes[axis], base, count)
-        self.last_row, self.last_base = last, base
-
-    def count(self, image: "_Components | None" = None) -> int:
-        """Components of the whole grid; this object is left as it is.
-
-        A component counts 2 for each mirror plane (the last index of a
-        mirror axis) that it does not touch, which is its number of images on
-        the whole grid.  With ``image``, the half i <= n/2's mask of ε times
-        this sign, the whole grid is a double cover of the half: this sheet,
-        and ``image``'s seen through g, where its components take this sign.
-        The sheets meet only at the plane i = n/2 (``last_row``), which g maps
-        to itself by (j, k) -> (n-j, n-k); there ``_join`` merges each point's
-        component on this sheet with ``image``'s component at g p.
-        """
-        parent = list(self.parent)
-        offset = len(parent)
-        planes = list(self.on_plane.values())
-        if 0 in self.mirror_axes:
-            planes.append(_labels_on(self.last_row, self.last_base, offset - 1 - self.last_base))
-        if image is not None:
-            parent += [offset + a for a in image.parent]
-            bases = (self.last_base, offset + image.last_base)
-            _join(parent, self.last_row, image.last_row[::-1, ::-1], bases)
-        touched = Counter(r for plane in planes for r in {_root(parent, a) for a in plane})
-        # Less the backgrounds: 0, and the image sheet's at offset.
-        roots = {_root(parent, a) for a in range(len(parent))} - {0, offset}
-        return sum(1 << (len(self.mirror_axes) - touched[r]) for r in roots)
+def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
+    """The indices of the runs in x-row ``x`` of a layout of ``_label_runs``,
+    those of v > 0 first, given the runs' ``starts``."""
+    row = x * plane
+    lo, hi, lo_, hi_ = starts.searchsorted((row, row + plane, half + row, half + row + plane))
+    return np.concatenate((np.arange(lo, hi), np.arange(lo_, hi_)))
 
 
 # The slab workspace of count_components, two byte buffers: samples, whose
@@ -403,39 +328,89 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     """Face-connected components of the positive and negative sample sets.
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
-    its quotient.  An antisymmetric mirror, or a g-odd field, maps each
-    component onto one of the other sign, so then the two signs split the
-    total evenly.  The grid is evaluated, compared and labelled in slabs of
+    its quotient.  The grid is evaluated, compared and labelled in slabs of
     at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
     written into one workspace that every count reuses.  Both signs of a
     slab are labelled at once, on their runs along z (``_label_runs``), and
-    only the x-rows and mirror planes read later get labels per sample.  A
-    slab's zeros are the samples in neither sign mask, so no third
-    comparison is made.
+    a slab's zeros are the samples in neither sign mask.
+
+    Labels stay on runs for the whole count, numbered on across slabs with
+    a sign each, and one ``_union`` merges them.  Each slab's layout starts
+    with the previous slab's last x-row, whose runs pair one to one, in
+    order, with that slab's.  A component counts 2 for each mirror plane
+    (the last index of a mirror axis) that none of its runs touches, which
+    is its number of images on the whole grid; an antisymmetric mirror maps
+    each component onto one of the other sign, so then the two signs split
+    the total evenly.  With an inversion ε the whole grid is a double cover
+    of the half i <= n/2: its components, and a copy of them seen through g,
+    where each takes ε times its sign.  The two sheets meet only at the
+    plane i = n/2, the last x-row, which g maps to itself by (j, k) ->
+    (n-j, n-k); each run there joins the copy's component of its image run.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
-    layout = 2 * (step + 1) * (sy + 1) * (sz + 1)  # the bytes of _label_runs' marks
+    line, plane = sz + 1, (sy + 1) * (sz + 1)
+    layout = 2 * (step + 2) * plane  # the bytes of _label_runs' marks
     samples, marks = _slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
-    positive, negative = _Components(mirror_axes), _Components(mirror_axes)
     yz_axes = [axis for axis in mirror_axes if axis]
-    n_zero = 0
+    on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in mirror_axes}
+    links = [np.empty((2, 0), np.intp)]  # pairs of ids of one component
+    negative = []  # per slab, whether each of its components is one of v < 0
+    total = n_zero = 0
     for start in range(0, sx, step):
         v = grid.rows(start, min(start + step, sx), out=samples.view(np.float64))
         # Once the masks are made the samples are spent, and their bytes hold
         # the changes of the marks.
-        masks, signs = _label_runs(v, marks, samples, yz_axes, start > 0)
-        above, below = masks
-        for components, sign in zip((positive, negative), signs):
-            components.add(*sign)
-        n_zero += _zeros(above, below, yz_axes)
+        masks, starts, ends, ids, (n_pos, n_neg) = _label_runs(
+            v, marks, samples, step if start else 0, total
+        )
+        rows, half = len(v), (len(v) + 2) * plane
+        if start:
+            links.append(np.stack((last_ids, ids[_row_runs(starts, 0, half, plane)])))
+        last = _row_runs(starts, rows, half, plane)
+        last_ids = ids[last]
+        # Runs on the y mirror plane lie in line sy-1 of an x-row; those on the z one end a line.
+        for axis in yz_axes:
+            on = ends % line == sz if axis == 2 else starts // line % (sy + 1) == sy - 1
+            on_planes[axis].append(ids[on])
+        negative.append(np.arange(n_pos + n_neg) >= n_pos)
+        total += n_pos + n_neg
+        n_zero += _zeros(*masks, yz_axes)
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:
-        n_zero = 2 * n_zero - _zeros(above[-1:], below[-1:], yz_axes)
-    # Each sign's image sheet under g is the half's mask of ε times that sign.
-    images = {0: (None, None), 1: (positive, negative), -1: (negative, positive)}[grid.inversion]
-    n_pos, n_neg = positive.count(images[0]), negative.count(images[1])
+        n_zero = 2 * n_zero - _zeros(masks[0, -1:], masks[1, -1:], yz_axes)
+    if grid.mirrors[0]:
+        on_planes[0].append(last_ids)
+    negative = np.concatenate(negative)
+    links = np.concatenate(links, axis=1)
+    if grid.inversion:
+        # g maps the last x-row to itself by (j, k) -> (sy-1-j, sz-1-k) and
+        # each sample to ε times itself: a run (s, e] there goes to (c-e, c-s],
+        # c being the two rows' offsets in the layout plus (sy-1)(sz+1)+sz, in
+        # the half of ε times its sign.  So the k-th run from the end of a half
+        # lands on the k-th run of its image half, and its copy joins that run.
+        # No sort is made: a process's first np.argsort faults in about 256 KiB
+        # of numpy's code, which showed in the census's peak RSS.
+        s, e = starts[last], ends[last]
+        c = 2 * rows * plane + (sy - 1) * line + sz
+        c += half if grid.inversion < 0 else 2 * half * (s >= half)
+        shift = 0 if grid.inversion < 0 else np.count_nonzero(s < half)
+        order = np.roll(np.arange(len(s))[::-1], shift)
+        if np.count_nonzero((c - e)[order] != s) or np.count_nonzero((c - s)[order] != e):
+            raise ValueError("the grid's plane i = n/2 is not mapped to itself by g")
+        links = np.concatenate((links, links + total, (last_ids[order], last_ids + total)), axis=1)
+        negative = np.concatenate((negative, negative != (grid.inversion < 0)))
+    size = len(negative)
+    labels = _union(size, *links)
+    touched = np.zeros(size, np.intp)
+    for ids in on_planes.values():
+        on = np.zeros(size, bool)
+        on[labels[np.concatenate(ids)]] = True
+        touched += on
+    weights = (1 << (len(mirror_axes) - touched)) * (labels == np.arange(size))
+    n_neg = int(weights[negative].sum())
+    n_pos = int(weights.sum()) - n_neg
     if -1 in grid.mirrors:
         n_pos = n_neg = (n_pos + n_neg) // 2
     return NodalCount(n_pos, n_neg, int(n_zero), grid.n, False)

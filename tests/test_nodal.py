@@ -383,52 +383,6 @@ def test_sample_field_factors_are_bitwise_per_mode(case):
                 assert grid.zs.tobytes() == zs.tobytes(), (n, quotient)
 
 
-def join_partition(parent):
-    """The classes of the union-find ``parent``, as a set of frozensets."""
-    classes: dict[int, set[int]] = {}
-    for a in range(len(parent)):
-        classes.setdefault(nodal._root(parent, a), set()).add(a)
-    return {frozenset(c) for c in classes.values()}
-
-
-def face_labels(kind, rng, shape, count):
-    """A label plane: long runs along the last axis, all labels distinct, or no labels."""
-    if kind == "long-runs":
-        runs = rng.integers(0, count + 1, size=(shape[0], shape[1] // 8))
-        return np.repeat(runs, 8, axis=1)
-    if kind == "no-runs":
-        return rng.permutation(np.arange(1, shape[0] * shape[1] + 1)).reshape(shape)
-    return np.zeros(shape, np.int64)
-
-
-@pytest.mark.parametrize(
-    "here_kind, there_kind",
-    [("long-runs", "long-runs"), ("no-runs", "no-runs"), ("long-runs", "no-runs"),
-     ("empty", "long-runs"), ("no-runs", "empty")],
-)
-def test_join_merges_exactly_the_facing_pairs(here_kind, there_kind):
-    rng = np.random.default_rng(len(here_kind) * len(there_kind))
-    shape = (12, 40)
-    for _ in range(10):
-        here, there = (face_labels(kind, rng, shape, 6) for kind in (here_kind, there_kind))
-        bases = (3, 3 + shape[0] * shape[1] + 2)
-        parent = list(range(bases[1] + shape[0] * shape[1] + 5))
-        parent[2] = 1  # a merge made before, which the join must keep
-        expected = {a: {a} for a in range(len(parent))}
-        pairs = {(1, 2)} | {
-            (bases[0] + a, bases[1] + b)
-            for a, b in zip(here.ravel().tolist(), there.ravel().tolist())
-            if a and b
-        }
-        for a, b in pairs:
-            if expected[a] is not expected[b]:
-                merged = expected[a] | expected[b]
-                for c in merged:
-                    expected[c] = merged
-        nodal._join(parent, here.astype(np.int64), there.astype(np.int32), bases)
-        assert join_partition(parent) == {frozenset(c) for c in expected.values()}
-
-
 def planted_slab(rng, shape, lo, hi):
     """Samples of one sign with the box [lo, hi) replaced by random signs and zeros."""
     samples = np.full(shape, rng.choice([-1.0, 1.0]))
@@ -459,41 +413,52 @@ def planted_box(rng, shape, case):
 FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
-def run_labels(samples, first):
-    """``nodal._label_runs`` on ``samples``, with both mirror planes and a
-    workspace full of stale bytes."""
+def run_labels(samples, carried):
+    """``nodal._label_runs`` on ``samples``, numbered on from 7, in a workspace
+    full of stale bytes, after a slab whose last x-row is ``carried`` (none
+    if ``carried`` is None)."""
     sx, sy, sz = samples.shape
-    size = 2 * (sx + 1) * (sy + 1) * (sz + 1)
+    size = 2 * (sx + 3) * (sy + 1) * (sz + 1)
     marks, spare = np.full(size + 1, 255, np.uint8), np.full(size, 255, np.uint8)
-    return nodal._label_runs(samples.copy(), marks, spare, [1, 2], first)
+    carry = 0
+    if carried is not None:
+        previous = np.concatenate((-samples[::-1], carried))
+        nodal._label_runs(previous, marks, spare, 0, 0)
+        carry = len(previous)
+    return nodal._label_runs(samples.copy(), marks, spare, carry, 7)
 
 
 def check_run_labels(samples):
-    """``_label_runs`` on each sign, against ``ndimage.label`` on the whole mask:
-    the masks, the count, and labels on the four planes it reports that
-    correspond one to one, 0 to 0.  A mirror plane's labels come one per run
-    on it, in the order of the runs: on the y plane one per stretch of the
-    sign along z, on the z plane one per sample of the sign."""
-    for first in (True, False):
-        masks, signs = run_labels(samples, first)
-        for mask, got, (count, first_row, last_row, on_planes) in zip(
-            masks, (samples > 0, samples < 0), signs
-        ):
-            expected, expected_count = ndimage.label(got, structure=FACE_STRUCTURE)
-            assert count == expected_count
-            pairs = list(zip(expected[-1].ravel().tolist(), last_row.ravel().tolist(), strict=True))
-            if first:
-                pairs += zip(expected[0].ravel().tolist(), first_row.ravel().tolist(), strict=True)
-            else:
-                assert first_row is None
-            y_plane, z_plane = expected[:, -1, :], expected[:, :, -1]
-            stretch = (y_plane > 0) & ~np.pad(y_plane > 0, ((0, 0), (1, 0)))[:, :-1]
-            pairs += zip(y_plane[stretch].tolist(), on_planes[1].tolist(), strict=True)
-            pairs += zip(z_plane[z_plane > 0].tolist(), on_planes[2].tolist(), strict=True)
-            pairs = set(pairs)
-            assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
-            assert all((a == 0) == (b == 0) for a, b in pairs)
-            assert np.array_equal(mask, got)
+    """``_label_runs`` against ``ndimage.label`` on each sign's mask of the
+    carried x-row stacked on the slab, with no carried row (a row of zeros),
+    with the slab's first x-row, and with that row negated and reflected in y:
+    the masks, the count of each sign, the runs' lengths, and the runs'
+    components, which must map one to one onto the labels at the runs' first
+    samples, numbered on from 7 with those of v > 0 first."""
+    sx, sy, sz = samples.shape
+    line, plane = sz + 1, (sy + 1) * (sz + 1)
+    for carried in (None, samples[:1], -samples[:1, ::-1]):
+        masks, starts, ends, ids, counts = run_labels(samples, carried)
+        assert np.array_equal(masks, (samples > 0, samples < 0))
+        stacked = np.concatenate((np.zeros((1, sy, sz)) if carried is None else carried, samples))
+        # A run's first sample is the mark after its start: layout x-row x of
+        # the half of a sign is x-row x of the stacked slab.
+        first = starts + 1
+        signs, x = np.divmod(first // plane, sx + 2)
+        at = x, first % plane // line, first % line - 1
+        bounds = zip((signs, *at), (2, *stacked.shape))
+        assert all(((a >= 0) & (a < size)).all() for a, size in bounds)
+        base = 7
+        for sign, mask in enumerate((stacked > 0, stacked < 0)):
+            expected, count = ndimage.label(mask, structure=FACE_STRUCTURE)
+            assert counts[sign] == count
+            mine = signs == sign
+            assert (ends - starts)[mine].sum() == np.count_nonzero(mask)
+            pairs = set(zip(ids[mine].tolist(), expected[tuple(a[mine] for a in at)].tolist()))
+            assert {a for a, _ in pairs} == set(range(base, base + count))
+            assert {b for _, b in pairs} == set(range(1, count + 1))
+            assert len(pairs) == count
+            base += count
 
 
 BOX_CASES = {
@@ -550,6 +515,66 @@ def test_box_labels_of_empty_full_and_zero_band_slabs():
         # Stripes of alternating sign across each axis, one component each.
         for axis in range(3):
             check_run_labels(np.indices(shape)[axis] % 2 * 2.0 - 1.0)
+
+
+def oracle_combos(count, seed):
+    """Random combinations of the cube's groups up to 300 with six modes or
+    more; every third one only on the modes of one x-parity, so that its
+    quotient has mirrors."""
+    groups = [g for g in enumerate_groups(CUBE, 300) if g.multiplicity >= 6]
+    rng = np.random.default_rng(seed)
+    combos = []
+    for i in range(count):
+        group = groups[rng.integers(len(groups))]
+        coeffs = rng.normal(size=group.multiplicity)
+        if i % 3 == 2:
+            parity = group.modes[rng.integers(group.multiplicity)].l % 2
+            coeffs *= [mode.l % 2 == parity for mode in group.modes]
+        combos.append(EigenCombo(group, tuple(coeffs)))
+    return combos
+
+
+ORACLE_COMBOS = oracle_combos(60, 19)
+
+
+def test_counts_match_whole_grid_labels(monkeypatch):
+    # An oracle independent of the kernel: ndimage.label on the whole grid's
+    # samples, against counts on whole grids, mirror quotients and antipodal
+    # quotients, in one slab and with one x-row per slab.
+    grids, expected = [], []
+    for combo in ORACLE_COMBOS:
+        for n in (16, 17, 24, 32):
+            values = sample_field(combo, n).values
+            signs = tuple(
+                ndimage.label(mask, structure=FACE_STRUCTURE)[1]
+                for mask in (values > 0, values < 0)
+            )
+            for quotient in (False, True):
+                grids.append(sample_field(combo, n, quotient))
+                expected.append((*signs, np.count_nonzero(values == 0)))
+    classes = {(grid.mirrors, grid.inversion) for grid in grids}
+    assert {
+        ((0, 0, 0), 0), ((0, 0, 0), 1), ((0, 0, 0), -1), ((1, 1, 1), 0), ((-1, -1, -1), 0),
+        ((1, -1, -1), 0), ((-1, 1, 1), 0), ((1, 0, 0), 0), ((-1, 0, 0), 0),
+    } <= classes
+    for slab_points in (nodal.SLAB_POINTS, 1):
+        monkeypatch.setattr(nodal, "SLAB_POINTS", slab_points)
+        for grid, want in zip(grids, expected, strict=True):
+            count = count_components(grid)
+            got = (count.positive_components, count.negative_components, count.zero_samples)
+            assert got == want, (grid.n, grid.mirrors, grid.inversion, slab_points)
+
+
+def test_an_asymmetric_glue_plane_is_refused():
+    # A g-even quotient is glued across its last x-row, which g must map to
+    # itself; a row that breaks that is refused rather than glued wrongly.
+    sx, sy, sz = 4, 7, 7
+    grid = nodal.ScalarGrid(8, (sx, sy, sz), np.ones((1, sx * sy)), np.ones((1, sz)), inversion=1)
+    assert count_components(grid) == nodal.NodalCount(1, 0, 0, 8, False)
+    planes = grid.planes.copy()
+    planes[0, (sx - 1) * sy] = -1.0  # line j = 1 of the last x-row; its image j = 7 stays positive
+    with pytest.raises(ValueError, match="not mapped to itself by g"):
+        count_components(replace(grid, planes=planes))
 
 
 # Grids named by (eigenvalue, coefficients, n), counted with quotient=True:

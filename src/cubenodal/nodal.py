@@ -39,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .spectrum import EigenvalueGroup, ModeTriple
 from .symmetry import Parity, eigenspace_parity
@@ -369,14 +368,18 @@ def count_components(grid: ScalarGrid) -> NodalCount:
         if start:
             links.append(np.stack((last_ids, ids[_row_runs(starts, 0, half, plane)])))
         last = _row_runs(starts, rows, half, plane)
-        last_ids = ids[last]
+        s, e, last_ids = starts[last], ends[last], ids[last]
         # Runs on the y mirror plane lie in line sy-1 of an x-row; those on the z one end a line.
         for axis in yz_axes:
-            on = ends % line == sz if axis == 2 else starts // line % (sy + 1) == sy - 1
-            on_planes[axis].append(ids[on])
+            on_planes[axis].append(
+                ids[ends % line == sz if axis == 2 else starts // line % (sy + 1) == sy - 1]
+            )
         negative.append(np.arange(n_pos + n_neg) >= n_pos)
         total += n_pos + n_neg
         n_zero += _zeros(*masks, yz_axes)
+        # Only the last x-row's runs are read again, so the slab's others are
+        # released before the next slab is labelled, not held under its peak.
+        del starts, ends, ids
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:
         n_zero = 2 * n_zero - _zeros(masks[0, -1:], masks[1, -1:], yz_axes)
@@ -392,7 +395,6 @@ def count_components(grid: ScalarGrid) -> NodalCount:
         # lands on the k-th run of its image half, and its copy joins that run.
         # No sort is made: a process's first np.argsort faults in about 256 KiB
         # of numpy's code, which showed in the census's peak RSS.
-        s, e = starts[last], ends[last]
         c = 2 * rows * plane + (sy - 1) * line + sz
         c += half if grid.inversion < 0 else 2 * half * (s >= half)
         shift = 0 if grid.inversion < 0 else np.count_nonzero(s < half)
@@ -480,17 +482,78 @@ def _scrambled_halton(dim: int, n_samples: int, seed: int) -> np.ndarray:
     return points
 
 
+# Cephes ndtri's rational approximations (Moshier), highest power first: P0/Q0
+# for |y - 1/2| <= 1/2 - exp(-2), P1/Q1 in the tails while sqrt(-2 ln y) < 8.
+# Each Q's leading 1, implicit in Cephes' p1evl, is written out: 1 * x is x
+# exactly, so Horner's rule on it makes p1evl's sums.
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_EXP_MINUS_2 = 0.13533528323661269189
+
+
+def _polevl(x: float, coeffs: tuple[float, ...]) -> float:
+    """Horner's rule in Cephes' polevl order, highest power first."""
+    value = coeffs[0]
+    for c in coeffs[1:]:
+        value = value * x + c
+    return value
+
+
+def _ndtri(y: float) -> float:
+    """The inverse of the standard normal CDF: Cephes ``ndtri``, the code
+    ``scipy.special.ndtri`` runs, ported so that it returns the same double.
+
+    Each step is Cephes' in its order, with libm's log and sqrt (numpy's
+    vectorised log can differ from libm's in the last bit).  Only what a
+    point of ``sphere_samples`` can reach is ported: its clip to
+    [1e-12, 1 - 1e-12] keeps sqrt(-2 ln y) below 7.44, so Cephes' P2/Q2 branch
+    for sqrt(-2 ln y) >= 8 and its cases y = 0 and y = 1 are left out.
+    """
+    upper = y > 1.0 - _EXP_MINUS_2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_MINUS_2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242e0  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    x = x0 - z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    return x if upper else -x
+
+
 def sphere_samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy points on the unit sphere in R^dim.
 
-    Scrambled Halton points (`_scrambled_halton`) mapped through the inverse
-    normal CDF and normalized; identical for identical (dim, n_samples, seed).
+    Scrambled Halton points (`_scrambled_halton`), clipped to [1e-12, 1 - 1e-12],
+    mapped through the inverse normal CDF (`_ndtri`, a port of Cephes' ndtri
+    that returns scipy.special.ndtri's doubles) and normalized; identical for
+    identical (dim, n_samples, seed).
     The seed must be a non-negative integer.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     u = _scrambled_halton(dim, n_samples, seed)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = np.array([[_ndtri(y) for y in row] for row in np.clip(u, 1e-12, 1.0 - 1e-12).tolist()])
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12
     if degenerate.any():

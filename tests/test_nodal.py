@@ -626,17 +626,19 @@ def test_a_warm_count_allocates_no_slab():
 
 
 def test_importing_the_cli_leaves_out_scipy_stats():
-    # scipy.stats would be most of the package's import time, and no command needs
-    # it: the sweep draws its Halton points with nodal._scrambled_halton.
-    # scipy.sparse stays out too: importing scipy.sparse.csgraph after the cli
+    # No command loads any part of scipy.  scipy.stats would be most of the
+    # package's import time: the sweep draws its Halton points with
+    # nodal._scrambled_halton.  Importing scipy.sparse.csgraph after the cli
     # raised peak RSS by 9.2 MiB, more than the benchmark's 5% bound on 64 MiB.
-    # So does scipy.ndimage: nodal._label_runs labels the sign regions itself.
+    # nodal._label_runs labels the sign regions without scipy.ndimage, and
+    # nodal._ndtri maps the points to the sphere without scipy.special, which
+    # alone took about half the package's import time and memory.
     code = (
         "import contextlib, io, sys\n"
         "from cubenodal import cli\n"
         "def unloaded(step):\n"
-        "    for name in ('scipy.stats', 'scipy.sparse', 'scipy.ndimage'):\n"
-        "        assert name not in sys.modules, (name, step)\n"
+        "    loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, (loaded, step)\n"
         "unloaded('import')\n"
         "for argv in (['table'], ['table', '--box', '1,1,2'], ['screen'],\n"
         "             ['nodal', '--mode', '1,1,1', '--coeffs', '1'],\n"
@@ -659,6 +661,34 @@ def test_scrambled_halton_is_scipys_bit_for_bit(dim):
             points = nodal._scrambled_halton(dim, n, seed)
             assert points.shape == expected.shape
             assert points.tobytes() == expected.tobytes(), (seed, n)
+
+
+def test_ndtri_is_scipys_bit_for_bit():
+    from scipy.special import ndtri
+
+    # Both clip ends, the branch edges exp(-2) and 1 - exp(-2) with their neighbours,
+    # and both tails evenly in log y.
+    ends = [1e-12, 1.0 - 1e-12]
+    edges = [
+        e for x in (math.exp(-2), 1.0 - math.exp(-2))
+        for e in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))
+    ]
+    u = np.exp(np.random.default_rng(20).uniform(math.log(1e-12), math.log(0.5), 10**5))
+    y = np.concatenate([
+        *(
+            np.clip(nodal._scrambled_halton(dim, 500, seed), 1e-12, 1.0 - 1e-12).ravel()
+            for dim in range(1, 13)
+            for seed in (0, 7, 2**32 - 1)
+        ),
+        ends,
+        edges,
+        u,
+        1.0 - u,
+    ])
+    expected = ndtri(y)
+    points = np.array([nodal._ndtri(x) for x in y.tolist()])
+    mismatched = y[points.view(np.int64) != expected.view(np.int64)]
+    assert points.tobytes() == expected.tobytes(), (len(mismatched), mismatched[:5])
 
 
 def test_sweep_points_are_unchanged():

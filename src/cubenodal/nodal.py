@@ -10,7 +10,15 @@ within each slab of x-rows, then, once per count, the pairs across slab
 faces and the antipodal glue.  Samples that are exactly zero belong to no
 component: sign regions of an eigenfunction are open, and zeros land
 exactly on lattice-aligned nodal planes, so assigning them to either side
-would corrupt counts.
+would corrupt counts.  A slab's zeros are its samples in no run.
+
+The runs come from one of two sources.  If every active mode's z-frequency
+lies in {1, 2} or in {1, 3}, as for eigenvalue 11, then sin 2z = 2 sin z cos z
+and sin 3z = sin z (4cos^2 z - 1) give each z-line a closed form with at most
+one sign change per monotone branch of cos z, and the runs are cut at its
+roots, with no sample evaluated (``_root_runs``).  That holds only where a
+rounding bound proves every sample's sign; otherwise, and for every other
+grid, the runs are found on the samples.
 
 A count is trusted once it is stable under one resolution doubling; on
 disagreement the resolution keeps doubling up to a cap, and the final result
@@ -37,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,6 +69,12 @@ __all__ = [
 RESOLUTION_CAP = 512
 # Samples evaluated at once by count_components: 2 MiB of float64.
 SLAB_POINTS = 1 << 18
+# Grids of fewer samples are counted on their samples even where their
+# z-lines have a closed form (_root_runs): its fixed cost of about a hundred
+# numpy calls is more than their samples cost.  On a 2-vCPU machine, 32^3
+# quotients counted 40 to 110 us slower on roots, 32 x 63^2 ones 30 to 60 us
+# faster.
+ROOT_POINTS = 1 << 16
 
 
 def _g_sign(mode: ModeTriple) -> int:
@@ -113,7 +128,10 @@ class ScalarGrid:
     (-1) for a field symmetric (antisymmetric) under i -> n - i, sampled on
     i = 1..n/2 only.  With no mirror, ``inversion`` is +1 (-1) for a field
     that g maps to itself (to minus itself), sampled on x-rows i = 1..n/2
-    only, with y and z whole; otherwise it is 0.
+    only, with y and z whole; otherwise it is 0.  ``zfreqs`` holds the
+    z-frequency f of each row of ``zs``, which is then sin(f k pi / n) as
+    ``_sine_table`` gives it; it is empty if the rows are not known to be
+    such, and then the grid is only ever counted on its samples.
     """
 
     n: int
@@ -122,6 +140,7 @@ class ScalarGrid:
     zs: np.ndarray
     mirrors: tuple[int, int, int] = (0, 0, 0)
     inversion: int = 0
+    zfreqs: tuple[int, ...] = ()
 
     def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """The samples of x-rows start..stop-1 (0-based), shape (stop-start, sy, sz).
@@ -208,7 +227,7 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
     sx, sy, sz = (table[np.multiply.outer(f, r) % (2 * n)] for f, r in zip(freqs, ranges))
     sx *= np.array([coeff for coeff, _ in active])[:, None]
     planes = (sx[:, :, None] * sy[:, None, :]).reshape(len(active), -1)
-    return ScalarGrid(n, shape, planes, sz, mirrors, inversion)
+    return ScalarGrid(n, shape, planes, sz, mirrors, inversion, tuple(freqs[2].tolist()))
 
 
 def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,35 +252,65 @@ def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _label_runs(
-    v: np.ndarray, marks: np.ndarray, spare: np.ndarray, carry: int, base: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """The masks v > 0 and v < 0 of the slab ``v`` (shape (sx, sy, sz)) and
-    their face-connected components, found on runs: stretches of one sign
-    along z in one line.
+    bounds: np.ndarray, shape: tuple[int, int, int], base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The face-connected components of the runs of a slab of ``shape`` (sx,
+    sy, sz): stretches of one sign along z in one line.
 
-    Both masks go into the bytes ``marks`` at once, laid out (2, sx+2, sy+1,
-    sz+1) with zeros at z index 0 and y index sy, and one mark after the end.
-    X-row 0 of each half holds the marks of the previous slab's last x-row,
-    x-row ``carry`` of the layout still in ``marks`` (all zeros if ``carry``
-    is 0), x-rows 1..sx hold the slab, and x-row sx+1 is zeros.  A run of
-    marks is then a run of one sign along z in one line; ``bounds`` (where
-    the marks change, found in the bytes ``spare``) holds each run's start
-    and end, less one, and a start for the last mark.  A position's face
-    neighbours lie ``line`` and ``plane`` on, and the zeros keep them off
-    other x-rows, signs and slabs.  Two runs are linked if one overlaps the
-    other shifted by such a step; one of the two is the first run the other
-    overlaps in its line, so one ``searchsorted`` per step, forward and
-    back, finds every link, and ``_union`` merges the links.
+    The runs lie in a byte layout (2, sx+2, sy+1, sz+1), a half per sign
+    (v > 0 first), with zeros at z index 0 and y index sy.  X-row 0 of each
+    half holds the previous slab's last x-row (zeros for the first slab),
+    x-rows 1..sx the slab, and x-row sx+1 zeros.  ``bounds`` holds each
+    run's start and end in the layout, the positions before its first sample
+    and of its last, in order, and then the position before the layout's
+    end.  A position's face neighbours lie ``line`` and ``plane`` on, and
+    the zeros keep them off other x-rows, signs and slabs.  Two runs are
+    linked if one overlaps the other shifted by such a step; one of the two
+    is the first run the other overlaps in its line, so one ``searchsorted``
+    per step, forward and back, finds every link, and ``_union`` merges the
+    links.
 
-    Returns the masks of x-rows 1..sx, each run's start and end in the
-    layout, each run's component, numbered on from ``base`` in the order of
-    their first runs (so those of v > 0 come first), and the number of
-    components of each sign.
+    Returns each run's start and end, each run's component, numbered on
+    from ``base`` in the order of their first runs (so those of v > 0 come
+    first), and the number of components of each sign.
     """
+    sx, sy, sz = shape
+    line = sz + 1
+    plane = (sy + 1) * line
+    starts, ends = bounds[0::2], bounds[1::2]
+    n = len(ends)
+    steps = np.array((line, plane, -line, -plane))[:, None]
+    near = ends.searchsorted(starts[:n] + steps, "right")
+    linked = np.flatnonzero(starts[near] < ends + steps)
+    labels = _union(n, near.take(linked), linked % max(n, 1))
+    root = labels == np.arange(n)
+    split = int(starts.searchsorted((sx + 2) * plane))  # the runs of v > 0 come first
+    ids = np.cumsum(root)[labels]
+    ids += base - 1
+    return starts[:n], ends, ids, (
+        int(np.count_nonzero(root[:split])), int(np.count_nonzero(root[split:]))
+    )
+
+
+def _sampled_bounds(
+    grid: ScalarGrid, step: int, samples: np.ndarray, marks: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """The run bounds of x-rows start..stop-1 in the layout of ``_label_runs``,
+    found on their samples.
+
+    The samples go into the bytes ``samples``, and the masks v > 0 and
+    v < 0 into the layout in the bytes ``marks``, with one mark after its
+    end.  X-row 0 of each half is x-row ``step`` of the layout still in
+    ``marks``, the previous slab's last (zeros if ``start`` is 0).  A run of
+    marks is then a run of one sign along z in one line, and its bounds are
+    where the marks change, found in the spent samples' bytes.
+    """
+    v = grid.rows(start, stop, out=samples.view(np.float64))
     sx, sy, sz = v.shape
     line = sz + 1
     plane = (sy + 1) * line
     half = (sx + 2) * plane
+    carry = step if start else 0
     previous = marks[: 2 * (carry + 2) * plane].reshape(2, carry + 2, sy + 1, line)
     layout = marks[: 2 * half].reshape(2, sx + 2, sy + 1, line)
     layout[:, 0] = previous[:, carry] if carry else False
@@ -270,22 +319,184 @@ def _label_runs(
     np.greater(v, 0.0, out=masks[0])
     np.less(v, 0.0, out=masks[1])
     marks[2 * half] = True
-    changes = spare[: 2 * half].view(bool)
+    changes = samples[: 2 * half].view(bool)
     np.not_equal(marks[1 : 2 * half + 1], marks[: 2 * half], out=changes)
-    bounds = np.flatnonzero(changes)
-    starts, ends = bounds[0::2], bounds[1::2]
-    n = len(ends)
-    steps = np.array((line, plane, -line, -plane))[:, None]
-    near = ends.searchsorted(starts[:n] + steps, "right")
-    linked = np.flatnonzero(starts[near] < ends + steps)
-    labels = _union(n, near.take(linked), linked % max(n, 1))
-    root = labels == np.arange(n)
-    split = int(starts.searchsorted(half))  # the runs of v > 0 come first
-    ids = np.cumsum(root)[labels]
-    ids += base - 1
-    return masks, starts[:n], ends, ids, (
-        int(np.count_nonzero(root[:split])), int(np.count_nonzero(root[split:]))
-    )
+    return np.flatnonzero(changes)
+
+
+@lru_cache(maxsize=16)
+def _branch(n: int, f: int, h: int) -> np.ndarray | None:
+    """r_k = t[f k] / t[k] for k = 1..h, t = ``_sine_table(n)``, between +inf
+    and -inf, so that r before sample i is at i and r at it at i + 1; or
+    None unless r falls by more than 2^-40 from each sample to the next."""
+    table = _sine_table(n)
+    k = np.arange(1, h + 1)
+    padded = np.concatenate(([np.inf], table[f * k % (2 * n)] / table[k], [-np.inf]))
+    padded.flags.writeable = False
+    return padded if np.all(np.diff(padded[1:-1]) < -(2.0**-40)) else None
+
+
+def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray] | None:
+    """The runs of every z-line of the grid, found from the line's closed
+    form, or None if the grid must be sampled.
+
+    The closed form.  Let every active mode's z-frequency lie in {1, 2} or
+    in {1, 3}; f is the frequency other than 1 (2 if there is none), t is
+    ``_sine_table(n)`` and r_k = t[f k] / t[k] for k = 1..sz, the ratio of
+    the table's own floats: 2 cos z or 4cos^2 z - 1 up to the table's
+    rounding, as sin 2z = 2 sin z cos z and sin 3z = sin z (4cos^2 z - 1).
+    On the line (i, j), let beta sum the line's entries P_m of the rows of
+    ``planes`` of frequency 1, and alpha those of the others.  The sample at
+    k is the matmul's rounding of S_k = t[k] (beta + alpha r_k), exactly,
+    with t[k] > 0, so it has the sign of g_k = beta + alpha r_k once g_k
+    clears the band below.  r falls along z (2 cos z on (0, pi), 4cos^2 z - 1
+    on (0, pi/2]), except for f = 3 on a whole z-axis (odd n, or a grid that
+    is no quotient), where r_(sz+1-k) = r_k bitwise, as the table is exactly
+    symmetric, and only the first half, which falls, is searched.  On that
+    branch g is monotone and changes sign at most once, at tau = -beta /
+    alpha, so a line holds at most two runs, or three when its branch is
+    mirrored.  Per line, a and b count the samples of the branch with
+    r > tau and with r >= tau.  As r is (f - 2) + 2 cos((f - 1) z) but for
+    rounding, arccos guesses a to within a sample, and a comparison either
+    side against r itself puts it right (a guess further out would only fail
+    the checks below).
+
+    The rounding band.  With M active modes, u = 2^-53, and B1 and Bf the
+    sums of |P_m| over frequency 1 and over the others: any order of the
+    matmul's sums, with fused multiply-adds or without, is within gamma_M
+    (B1 t[k] + Bf |t[f k]|) of S_k, gamma_M = M u / (1 - M u), that is
+    within t[k] gamma_M (B1 + Bf |r_k|), and |r_k| <= 3.  The computed beta,
+    alpha, r_k and g_k are within (M + 4) u (B1 + 3 Bf) of their values.  A
+    product that underflows is off by at most 2^-1075, which t[k] >=
+    sin(pi/n) keeps far below 2^-1000 in g for any n a grid can hold.  So
+    every error there is within
+
+        eta = (M + 4) 2^-50 (B1 + 4 Bf) + 2^-1000,
+
+    and a sample whose computed g_k exceeds eta in size has its sign.  Only
+    the two ends of each stretch of one sign on a line's branch are checked,
+    which include the samples either side of tau: g is monotone along the
+    branch, so every sample between them lies further from 0.  The sine
+    table's errors do not enter S_k, which is written in its floats; they
+    enter only the order of r, and r must fall by more than 2^-40 from each
+    sample to the next (the lattice gives at least 4/n^2, the table's
+    rounding a few ulps).  Where sin 3z or sin 2z is 0 on the lattice (z =
+    pi/3, 2pi/3, or pi/2), t[f k] and so r_k are exactly 0, and the (4c^2 -
+    1) term of the sample is exactly 0 too.
+
+    Exact zeros.  A sample comes out exactly 0 only where every active term
+    is: on a line with no term of frequency 1 (B1 = 0), at the k with r_k =
+    0, the samples with r = tau, as beta and so tau are then 0; and on a line
+    whose terms all vanish, whole.  Anywhere else, samples at tau are inside
+    the band.  If a line is neither all zero nor outside the band at each
+    end of each stretch, or the sums could overflow (B1 + 4 Bf >= 2^1000),
+    the grid is sampled.
+
+    Returns, per sign (v > 0 first), the runs' starts and ends interleaved,
+    in order, as positions in a layout of every x-row with the lines of
+    ``_label_runs``: line (i, j) starts at (i (sy+1) + j)(sz+1).
+    """
+    freqs = set(grid.zfreqs)
+    if not freqs or not (freqs <= {1, 2} or freqs <= {1, 3}):
+        return None
+    f = 3 if 3 in freqs else 2
+    n, (sx, sy, sz) = grid.n, grid.shape
+    # The last ``fold`` samples of a line mirror the first ``fold`` of its branch.
+    fold = sz // 2 if f == 3 and not grid.mirrors[2] else 0
+    h = sz - fold
+    padded = _branch(n, f, h)
+    if padded is None:
+        return None
+    branch = padded[1:-1]
+    split = np.array([[z == 1 for z in grid.zfreqs], [z != 1 for z in grid.zfreqs]], float)
+    beta, alpha = split @ grid.planes
+    b1, eta = split @ np.abs(grid.planes)
+    eta *= 4.0
+    eta += b1
+    if not eta.max() < 2.0**1000:
+        return None
+    vanish, b1 = eta == 0, b1 == 0  # lines whose every term is 0, or every term of frequency 1
+    eta *= (len(grid.zfreqs) + 4) * 2.0**-50
+    eta += 2.0**-1000
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Where alpha = 0 the branch has one sign, and tau lies beyond |r| <= 3.
+        tau = np.fmax(np.fmin(-beta / alpha, 4.0), -4.0)
+        x = np.arccos(np.fmin(np.fmax((tau + (2 - f)) * 0.5, -1.0), 1.0))
+        x *= n / ((f - 1) * math.pi)
+        a = np.minimum(x.astype(np.intp), h)
+        del x
+        a += (padded.take(a) > tau) + (padded[1:].take(a) > tau) - 1
+        b = a + (padded[1:].take(a) == tau)
+        del tau
+        # The branch holds [0, a) of the sign of g at its start, [a, b) of
+        # zeros and [b, h) of the sign of g at its end, each checked at both ends.
+        first, last = beta + alpha * branch[0], beta + alpha * branch[-1]
+        head, tail = np.sign(first), np.sign(last)
+        decided = (a == 0) | (
+            (np.abs(first) > eta) & (head * (beta + alpha * padded.take(a)) > eta)
+        )
+        decided &= (b == h) | (
+            (np.abs(last) > eta) & (tail * (beta + alpha * padded.take(b + 1)) > eta)
+        )
+    decided &= ((a == b) | b1) & ((a == 0) | (b == h) | (head != tail))
+    decided |= vanish
+    # Each per-line array goes once read, so that the runs are built under a
+    # traced peak well below a slab of samples.
+    del beta, alpha, eta, b1, vanish, first, last
+    if not decided.all():
+        return None
+    # Per line, the runs [0, a), [b, sz - b') and [sz - a', sz), with a', b'
+    # the mirrored parts; a line of one sign is one run.
+    columns = 3 if fold else 2
+    signs = np.empty((len(a), columns))
+    signs[:, 0], signs[:, 1] = head, tail
+    if fold:
+        signs[:, 2] = head
+    del head, tail
+    whole = a == h
+    origin = (np.arange(sx)[:, None] * (sy + 1) + np.arange(sy)).ravel() * (sz + 1)
+    lo, hi = np.empty((2, len(a), columns), np.intp)
+    lo[:, 0], hi[:, 0] = origin, origin + np.where(whole, sz, a)
+    lo[:, 1], hi[:, 1] = origin + b, origin + (sz - np.minimum(b, fold))
+    if fold:
+        lo[:, 2], hi[:, 2] = origin + (sz - np.where(whole, 0, np.minimum(a, fold))), origin + sz
+    del a, b, whole, origin
+    signs *= hi > lo
+    runs = []
+    for sign in (1.0, -1.0):
+        at = np.flatnonzero(signs == sign)
+        edges = np.empty((len(at), 2), np.intp)
+        lo.take(at, out=edges[:, 0])
+        hi.take(at, out=edges[:, 1])
+        runs.append(edges.ravel())
+    return runs[0], runs[1]
+
+
+def _rooted_bounds(
+    grid: ScalarGrid, runs: tuple[np.ndarray, np.ndarray], start: int, stop: int
+) -> np.ndarray:
+    """The run bounds of x-rows start..stop-1, and of x-row start-1 before
+    them, in the layout of ``_label_runs``, cut from ``_root_runs``."""
+    _, sy, sz = grid.shape
+    plane = (sy + 1) * (sz + 1)
+    rows = stop - start
+    parts = []
+    for half, edges in enumerate(runs):
+        lo, hi = edges.searchsorted((max(start - 1, 0) * plane, stop * plane))
+        parts.append(edges[lo:hi] + (half * (rows + 2) + 1 - start) * plane)
+    parts.append([2 * (rows + 2) * plane - 1])
+    return np.concatenate(parts)
+
+
+def _slab_bounds(grid: ScalarGrid, step: int, *workspace: np.ndarray):
+    """The function from a slab's x-rows start..stop-1 to their run bounds
+    (``_label_runs``): cut from ``_root_runs`` when it settles a grid of at
+    least ``ROOT_POINTS`` samples, and found on the samples, in
+    ``workspace``, otherwise."""
+    runs = _root_runs(grid) if math.prod(grid.shape) >= ROOT_POINTS else None
+    if runs is None:
+        return partial(_sampled_bounds, grid, step, *workspace)
+    return partial(_rooted_bounds, grid, runs)
 
 
 def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
@@ -297,11 +508,11 @@ def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
 
 
 # The slab workspace of count_components, two byte buffers: samples, whose
-# bytes then hold the changes of _label_runs, and the marks of _label_runs.
-# Each is allocated on first use, at least SLAB_POINTS samples' worth, grown
-# when a count needs more, and kept for the life of the process, so every
-# later count reuses its pages instead of allocating (and faulting in) its
-# slabs afresh.  count_components is therefore not reentrant across threads.
+# bytes then hold the changes of _sampled_bounds, and its marks.  Each is
+# allocated on first use, at least SLAB_POINTS samples' worth, grown when a
+# count needs more, and kept for the life of the process, so every later
+# count reuses its pages instead of allocating (and faulting in) its slabs
+# afresh.  count_components is therefore not reentrant across threads.
 _workspace: tuple[np.ndarray, ...] = ()
 
 
@@ -309,29 +520,47 @@ def _slab_workspace(*sizes: int) -> tuple[np.ndarray, ...]:
     """The workspace, grown first if a buffer holds fewer bytes than ``sizes``."""
     global _workspace
     if len(_workspace) < len(sizes) or any(len(w) < size for w, size in zip(_workspace, sizes)):
+        if not _workspace:
+            # glibc mmaps a block above its mmap threshold (128 KiB at first),
+            # and faults its pages in afresh each time; freeing a larger
+            # mmapped block raises the threshold to that block's size.  So
+            # one untouched 8 MiB block, freed at once, lets the run-sized
+            # temporaries of every later count reuse the heap's pages.
+            np.empty(8 << 20, np.uint8)
         _workspace = tuple(np.empty(max(size, 8 * SLAB_POINTS), np.uint8) for size in sizes)
     return _workspace
 
 
-def _zeros(above: np.ndarray, below: np.ndarray, axes: list[int]) -> int:
-    """Samples in neither mask, each counted once per image under the mirror ``axes``:
-    by inclusion-exclusion, twice the whole less its last plane per axis (ascending)."""
-    if not axes:
-        return above.size - np.count_nonzero(above) - np.count_nonzero(below)
-    *rest, axis = axes
-    plane = (slice(None),) * axis + (-1,)
-    return 2 * _zeros(above, below, rest) - _zeros(above[plane], below[plane], rest)
+def _images(shape: tuple[int, ...], axes: list[int]) -> int:
+    """The samples of a block of ``shape``, each counted once per image under
+    the mirror ``axes``: twice but on the axis' last plane, per axis."""
+    return math.prod(2 * size - 1 if axis in axes else size for axis, size in enumerate(shape))
+
+
+def _run_images(lengths: np.ndarray, on_y, on_z, axes: list[int]) -> np.ndarray:
+    """Each run's samples, each counted once per image under the y and z
+    mirror ``axes``, as ``_images`` counts them: ``on_y`` marks the runs in
+    the last line of an x-row, and ``on_z`` those that end their line, one
+    sample of which lies on the z mirror plane."""
+    if 2 in axes:
+        lengths = 2 * lengths - on_z
+    if 1 in axes:
+        lengths = lengths * (2 - on_y)
+    return lengths
 
 
 def count_components(grid: ScalarGrid) -> NodalCount:
     """Face-connected components of the positive and negative sample sets.
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
-    its quotient.  The grid is evaluated, compared and labelled in slabs of
-    at most ``SLAB_POINTS`` samples, or one x-row if that is larger, all
-    written into one workspace that every count reuses.  Both signs of a
-    slab are labelled at once, on their runs along z (``_label_runs``), and
-    a slab's zeros are the samples in neither sign mask.
+    its quotient.  The grid is counted in slabs of at most ``SLAB_POINTS``
+    samples, or one x-row if that is larger.  Each slab's runs along z, of
+    both signs, come from one function (``_slab_bounds``): cut at the roots
+    of the z-lines' closed form when it proves every sample's sign of a grid
+    of at least ``ROOT_POINTS`` samples, and otherwise found on the samples,
+    evaluated into one workspace that every count reuses.  They are labelled
+    at once (``_label_runs``), and a slab's zeros are its samples in no run,
+    from the runs' lengths.
 
     Labels stay on runs for the whole count, numbered on across slabs with
     a sign each, and one ``_union`` merges them.  Each slab's layout starts
@@ -349,8 +578,10 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
     line, plane = sz + 1, (sy + 1) * (sz + 1)
-    layout = 2 * (step + 2) * plane  # the bytes of _label_runs' marks
-    samples, marks = _slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
+    layout = 2 * (step + 2) * plane  # the bytes of _sampled_bounds' marks
+    slab_bounds = _slab_bounds(
+        grid, step, *_slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
+    )
     mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
     yz_axes = [axis for axis in mirror_axes if axis]
     on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in mirror_axes}
@@ -358,31 +589,34 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     negative = []  # per slab, whether each of its components is one of v < 0
     total = n_zero = 0
     for start in range(0, sx, step):
-        v = grid.rows(start, min(start + step, sx), out=samples.view(np.float64))
-        # Once the masks are made the samples are spent, and their bytes hold
-        # the changes of the marks.
-        masks, starts, ends, ids, (n_pos, n_neg) = _label_runs(
-            v, marks, samples, step if start else 0, total
+        rows = min(step, sx - start)
+        starts, ends, ids, (n_pos, n_neg) = _label_runs(
+            slab_bounds(start, start + rows), (rows, sy, sz), total
         )
-        rows, half = len(v), (len(v) + 2) * plane
+        half = (rows + 2) * plane
+        # Runs on the y mirror plane lie in the last line of an x-row; those on the z one end a line.
+        on_y = 1 in yz_axes and starts % plane >= (sy - 1) * line
+        on_z = 2 in yz_axes and ends % line == sz
+        for axis, on in ((1, on_y), (2, on_z)):
+            if axis in yz_axes:
+                on_planes[axis].append(ids[on])
+        images = _run_images(ends - starts, on_y, on_z, yz_axes)
         if start:
-            links.append(np.stack((last_ids, ids[_row_runs(starts, 0, half, plane)])))
+            # The carried x-row is the previous slab's, whose zeros are counted.
+            carried = _row_runs(starts, 0, half, plane)
+            links.append(np.stack((last_ids, ids[carried])))
+            images[carried] = 0
         last = _row_runs(starts, rows, half, plane)
-        s, e, last_ids = starts[last], ends[last], ids[last]
-        # Runs on the y mirror plane lie in line sy-1 of an x-row; those on the z one end a line.
-        for axis in yz_axes:
-            on_planes[axis].append(
-                ids[ends % line == sz if axis == 2 else starts // line % (sy + 1) == sy - 1]
-            )
+        s, e, last_ids, last_images = starts[last], ends[last], ids[last], images[last]
         negative.append(np.arange(n_pos + n_neg) >= n_pos)
         total += n_pos + n_neg
-        n_zero += _zeros(*masks, yz_axes)
+        n_zero += _images((rows, sy, sz), yz_axes) - int(images.sum())
         # Only the last x-row's runs are read again, so the slab's others are
         # released before the next slab is labelled, not held under its peak.
-        del starts, ends, ids
+        del starts, ends, ids, images, on_y, on_z
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:
-        n_zero = 2 * n_zero - _zeros(masks[0, -1:], masks[1, -1:], yz_axes)
+        n_zero = 2 * n_zero - (_images((1, sy, sz), yz_axes) - int(last_images.sum()))
     if grid.mirrors[0]:
         on_planes[0].append(last_ids)
     negative = np.concatenate(negative)
@@ -427,10 +661,13 @@ def count_nodal_domains(
     converged=True, otherwise keeps doubling while the next resolution stays
     within ``cap``.  A result returned at the cap without agreement carries
     converged=False; the caller decides what to do with it.  No grid finer
-    than ``cap`` is sampled: a ``cap`` below 2*n0 is refused up front.
+    than ``cap`` is sampled, and ``cap`` is at most ``RESOLUTION_CAP``: a
+    ``cap`` below 2*n0 or above ``RESOLUTION_CAP`` is refused up front.
     """
     if n0 < 16:
         raise ValueError(f"base resolution must be at least 16, got {n0}")
+    if cap > RESOLUTION_CAP:
+        raise ValueError(f"resolution cap {cap} is above the largest allowed, {RESOLUTION_CAP}")
     if 2 * n0 > cap:
         raise ValueError(f"resolution cap {cap} is below twice the base resolution {n0}")
     prev = count_components(sample_field(combo, n0, quotient=True))

@@ -227,6 +227,21 @@ def test_nodal_resolution_beyond_cap_is_refused(capsys, monkeypatch):
     assert "cap" in captured.err
 
 
+def test_a_cap_above_the_resolution_cap_is_refused(capsys, monkeypatch):
+    # --cap 2048 would allow a 1024^3 grid: refused before any grid is sampled.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(nodal, "sample_field", no_grid)
+    code = cli.main(
+        ["nodal", "--mode", "1,1,1", "--coeffs", "1", "--resolution", "1024", "--cap", "2048"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"above the largest allowed, {nodal.RESOLUTION_CAP}" in captured.err
+
+
 def test_sweep_json_deterministic():
     args = ["sweep", "--value", "6", "--samples", "6", "--resolution", "32",
             "--seed", "9", "--format", "json"]

@@ -1,4 +1,5 @@
 import math
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -311,7 +312,9 @@ def test_quotient_count_matches_full_grid(case):
 @pytest.mark.parametrize("case", list(QUOTIENT_CASES))
 def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     # Every grid here fits one slab by default; one x-row per slab makes each
-    # component cross slab faces, and the counts must not change.
+    # component cross slab faces, and the counts must not change, whether
+    # the runs come from samples or, where the z-lines have a closed form,
+    # from its roots.
     combos, n0, _, _, _ = QUOTIENT_CASES[case]
     grids = [
         sample_field(combo, n, quotient)
@@ -321,8 +324,12 @@ def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     ]
     whole = [count_components(grid) for grid in grids]
     assert all(grid.shape[0] * grid.shape[1] * grid.shape[2] <= nodal.SLAB_POINTS for grid in grids)
-    monkeypatch.setattr(nodal, "SLAB_POINTS", 1)
-    assert [count_components(grid) for grid in grids] == whole
+    for root_points in (0, nodal.ROOT_POINTS):
+        monkeypatch.setattr(nodal, "ROOT_POINTS", root_points)
+        for slab_points in (nodal.SLAB_POINTS, 1):
+            with monkeypatch.context() as slabs:
+                slabs.setattr(nodal, "SLAB_POINTS", slab_points)
+                assert [count_components(grid) for grid in grids] == whole
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -413,34 +420,58 @@ def planted_box(rng, shape, case):
 FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
+def samples_grid(samples):
+    """A ScalarGrid whose samples are ``samples``: its z-rows are the identity."""
+    sz = samples.shape[2]
+    return nodal.ScalarGrid(16, samples.shape, samples.reshape(-1, sz).T.copy(), np.eye(sz))
+
+
+def painted(starts, ends, shape):
+    """The layout of ``nodal._label_runs`` for a slab of ``shape``, each
+    position holding the number of the runs ``starts``, ``ends`` over it."""
+    sx, sy, sz = shape
+    size = 2 * (sx + 2) * (sy + 1) * (sz + 1)
+    paint = np.zeros(size + 1, np.intp)
+    np.add.at(paint, starts + 1, 1)
+    np.add.at(paint, ends + 1, -1)
+    return np.cumsum(paint)[:size].reshape(2, sx + 2, sy + 1, sz + 1)
+
+
 def run_labels(samples, carried):
-    """``nodal._label_runs`` on ``samples``, numbered on from 7, in a workspace
-    full of stale bytes, after a slab whose last x-row is ``carried`` (none
-    if ``carried`` is None)."""
+    """``nodal._label_runs`` on the runs ``nodal._sampled_bounds`` finds in
+    ``samples``, numbered on from 7, in a workspace full of stale bytes,
+    after a slab whose last x-row is ``carried`` (none if ``carried`` is
+    None)."""
     sx, sy, sz = samples.shape
-    size = 2 * (sx + 3) * (sy + 1) * (sz + 1)
-    marks, spare = np.full(size + 1, 255, np.uint8), np.full(size, 255, np.uint8)
-    carry = 0
-    if carried is not None:
-        previous = np.concatenate((-samples[::-1], carried))
-        nodal._label_runs(previous, marks, spare, 0, 0)
-        carry = len(previous)
-    return nodal._label_runs(samples.copy(), marks, spare, carry, 7)
+    previous = np.zeros((0, sy, sz)) if carried is None else np.concatenate((-samples[::-1], carried))
+    grid = samples_grid(np.concatenate((previous, samples)))
+    step = len(previous)
+    size = 2 * (max(step, sx) + 2) * (sy + 1) * (sz + 1)
+    spare = np.full(8 * size, 255, np.uint8)
+    marks = np.full(size + 1, 255, np.uint8)
+    if step:
+        nodal._sampled_bounds(grid, step, spare, marks, 0, step)
+    bounds = nodal._sampled_bounds(grid, step, spare, marks, step, step + sx)
+    return nodal._label_runs(bounds, samples.shape, 7)
 
 
 def check_run_labels(samples):
     """``_label_runs`` against ``ndimage.label`` on each sign's mask of the
     carried x-row stacked on the slab, with no carried row (a row of zeros),
     with the slab's first x-row, and with that row negated and reflected in y:
-    the masks, the count of each sign, the runs' lengths, and the runs'
-    components, which must map one to one onto the labels at the runs' first
-    samples, numbered on from 7 with those of v > 0 first."""
+    the masks painted from the runs, the count of each sign, the runs'
+    lengths, and the runs' components, which must map one to one onto the
+    labels at the runs' first samples, numbered on from 7 with those of v > 0
+    first."""
     sx, sy, sz = samples.shape
     line, plane = sz + 1, (sy + 1) * (sz + 1)
     for carried in (None, samples[:1], -samples[:1, ::-1]):
-        masks, starts, ends, ids, counts = run_labels(samples, carried)
-        assert np.array_equal(masks, (samples > 0, samples < 0))
+        starts, ends, ids, counts = run_labels(samples, carried)
         stacked = np.concatenate((np.zeros((1, sy, sz)) if carried is None else carried, samples))
+        # Each sample lies in one run of its sign, and nothing else in a run.
+        expected = np.zeros((2, sx + 2, sy + 1, sz + 1), np.intp)
+        expected[:, : sx + 1, :sy, 1:] = stacked > 0, stacked < 0
+        assert np.array_equal(painted(starts, ends, samples.shape), expected)
         # A run's first sample is the mark after its start: layout x-row x of
         # the half of a sign is x-row x of the stacked slab.
         first = starts + 1
@@ -537,12 +568,36 @@ def oracle_combos(count, seed):
 ORACLE_COMBOS = oracle_combos(60, 19)
 
 
+def root_combos(count, seed):
+    """Random combinations of the cube's groups up to 60 on their modes of
+    z-frequency 1 or 3 (even trials) or 1 or 2 (odd ones), whose z-lines
+    have a closed form (``nodal._root_runs``)."""
+    groups = enumerate_groups(CUBE, 60)
+    rng = np.random.default_rng(seed)
+    combos = []
+    while len(combos) < count:
+        group = groups[rng.integers(len(groups))]
+        allowed = ({1, 3}, {1, 2})[len(combos) % 2]
+        coeffs = rng.normal(size=group.multiplicity) * [m.n in allowed for m in group.modes]
+        if coeffs.any():
+            combos.append(EigenCombo(group, tuple(coeffs)))
+    return combos
+
+
+# Single modes of z-frequency 2 or 3: at n = 24, sin 3z is exactly 0 at
+# z = pi/3 and 2pi/3.
+ROOT_COMBOS = root_combos(24, 21) + [pure_combo(*mode) for mode in ((1, 1, 2), (2, 1, 2), (1, 1, 3))]
+
+
 def test_counts_match_whole_grid_labels(monkeypatch):
     # An oracle independent of the kernel: ndimage.label on the whole grid's
     # samples, against counts on whole grids, mirror quotients and antipodal
-    # quotients, in one slab and with one x-row per slab.
+    # quotients, in one slab and with one x-row per slab.  The grids of
+    # ROOT_COMBOS are counted on runs from their z-lines' closed form, with
+    # one threshold per line on a quotient's z-axis and two at odd n.
+    monkeypatch.setattr(nodal, "ROOT_POINTS", 0)
     grids, expected = [], []
-    for combo in ORACLE_COMBOS:
+    for combo in ORACLE_COMBOS + ROOT_COMBOS:
         for n in (16, 17, 24, 32):
             values = sample_field(combo, n).values
             signs = tuple(
@@ -552,6 +607,8 @@ def test_counts_match_whole_grid_labels(monkeypatch):
             for quotient in (False, True):
                 grids.append(sample_field(combo, n, quotient))
                 expected.append((*signs, np.count_nonzero(values == 0)))
+                if combo in ROOT_COMBOS:
+                    assert nodal._root_runs(grids[-1]) is not None, (combo.coeffs, n, quotient)
     classes = {(grid.mirrors, grid.inversion) for grid in grids}
     assert {
         ((0, 0, 0), 0), ((0, 0, 0), 1), ((0, 0, 0), -1), ((1, 1, 1), 0), ((-1, -1, -1), 0),
@@ -563,6 +620,93 @@ def test_counts_match_whole_grid_labels(monkeypatch):
             count = count_components(grid)
             got = (count.positive_components, count.negative_components, count.zero_samples)
             assert got == want, (grid.n, grid.mirrors, grid.inversion, slab_points)
+
+
+def root_masks(grid):
+    """The masks v > 0 and v < 0 of ``grid`` painted from the runs that
+    ``nodal._root_runs`` finds on its z-lines' closed form."""
+    sx, sy, sz = grid.shape
+    size = sx * (sy + 1) * (sz + 1)
+    masks = []
+    for edges in nodal._root_runs(grid):
+        paint = np.zeros(size + 1, np.int8)
+        np.add.at(paint, edges[0::2] + 1, 1)
+        np.add.at(paint, edges[1::2] + 1, -1)
+        masks.append(np.cumsum(paint, dtype=np.int8)[:size].reshape(sx, sy + 1, sz + 1))
+    return masks
+
+
+def check_root_signs(grid):
+    values = grid.values
+    sx, sy, sz = grid.shape
+    for painted_mask, mask in zip(root_masks(grid), (values > 0, values < 0)):
+        # Nothing is painted outside the lines, nor twice.
+        assert not painted_mask[:, sy].any() and not painted_mask[..., 0].any()
+        assert np.array_equal(painted_mask[:, :sy, 1:], mask)
+    for edges in nodal._root_runs(grid):
+        # Each run is whole: none starts where the one before it ends.
+        assert not np.any(edges[2::2] == edges[1:-1:2])
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_root_signs_match_the_default_sweep(n):
+    # The first 20 grids of the default verdict's sweep at each resolution it counts.
+    group = group_at(11)
+    for coeffs in sphere_samples(3, 20, seed=0):
+        check_root_signs(sample_field(EigenCombo(group, tuple(coeffs)), n, quotient=True))
+
+
+def test_root_signs_match_random_grids():
+    for combo in root_combos(40, 23):
+        for n in (16, 17, 24, 33, 48):
+            for quotient in (False, True):
+                check_root_signs(sample_field(combo, n, quotient))
+
+
+def counted_on_samples(grid, monkeypatch):
+    """The count of ``grid``, asserting that its runs were found on its samples."""
+    sampled = []
+    sampled_bounds = nodal._sampled_bounds
+    with monkeypatch.context() as patch:
+        patch.setattr(nodal, "ROOT_POINTS", 0)
+        patch.setattr(
+            nodal, "_sampled_bounds", lambda *args: sampled.append(args) or sampled_bounds(*args)
+        )
+        count = count_components(grid)
+    assert sampled
+    return count
+
+
+@pytest.mark.parametrize("skew", [0.0, 2.0**-52, -(2.0**-50), 2.0**-48, -(2.0**-46)])
+def test_a_line_in_the_rounding_band_falls_back_to_samples(skew, monkeypatch):
+    # Crossed planes: on the line (i, j) the sample at k = j is
+    # sin x (sin y sin 3z - (1 + skew) sin 3y sin z), 0 or a few ulps of the
+    # terms, so its sign is the matmul's rounding and the closed form cannot
+    # settle it.
+    grid = sample_field(lambda11_combo(1.0, -1.0 - skew, 0.0), 64, quotient=True)
+    assert nodal._root_runs(grid) is None
+    assert counted_on_samples(grid, monkeypatch) == count_components(replace(grid, zfreqs=()))
+    # Skewed further, the same lines clear the band.
+    assert nodal._root_runs(sample_field(lambda11_combo(1.0, -1.0 - 2.0**-30, 0.0), 64, True))
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**-49, -(2.0**-49)])
+def test_a_threshold_on_a_lattice_sample_falls_back_to_samples(offset, monkeypatch):
+    # A line with terms of z-frequency 1 and 3 whose closed form beta + alpha r
+    # falls through 0 at its fifth sample: exactly there in floats, or a few
+    # ulps before it (its last positive sample) or after it (its first
+    # negative one).  The sample there is the matmul's rounding of
+    # t[5] (beta + alpha r_5), which need not have that sign.  The other
+    # lines are positive.
+    n = 24
+    table = nodal._sine_table(n)
+    k = np.arange(1, n // 2 + 1)
+    zs = np.array((table[k], table[3 * k % (2 * n)]))
+    planes = np.array((np.ones(9), np.zeros(9)))
+    planes[:, 4] = offset - zs[1, 4] / zs[0, 4], 1.0
+    grid = nodal.ScalarGrid(n, (3, 3, n // 2), planes, zs, (0, 0, 1), zfreqs=(1, 3))
+    assert nodal._root_runs(grid) is None
+    assert counted_on_samples(grid, monkeypatch) == count_components(replace(grid, zfreqs=()))
 
 
 def test_an_asymmetric_glue_plane_is_refused():
@@ -623,6 +767,28 @@ def test_a_warm_count_allocates_no_slab():
     finally:
         tracemalloc.stop()
     assert peak < nodal.SLAB_POINTS * 8, peak
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
+def test_a_warm_count_faults_few_pages():
+    # The slab workspace frees one large block when it is first built, which
+    # raises glibc's mmap threshold; then a count's run-sized temporaries come
+    # from the heap's pages instead of fresh mmapped ones.  In a fresh process,
+    # so that nothing else has raised the threshold.
+    code = (
+        "import resource\n"
+        "from cubenodal import CUBE, EigenCombo, count_components, enumerate_groups, sample_field\n"
+        "group = next(g for g in enumerate_groups(CUBE, 11) if g.value == 11)\n"
+        "grid = sample_field(EigenCombo(group, (0.6, -0.3, 0.74)), 256, quotient=True)\n"
+        "count_components(grid)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "count_components(grid)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
+    )
+    assert int(faults.stdout) < 20, faults.stdout
 
 
 def test_importing_the_cli_leaves_out_scipy_stats():

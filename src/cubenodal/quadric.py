@@ -10,15 +10,14 @@ Using sin 3t = sin t (4 cos^2 t - 1) and the substitution
 
     4 (A u^2 + B v^2 + C w^2) = A + B + C,      (A, B, C) = (b, c, a),
 
-inside (-1, 1)^3.  The sign pattern of (A, B, C) and of the product and sum
-classifies the surface (cylinder, planes, cone, ellipsoid, hyperboloid), and
-its position relative to the faces and edges of (-1,1)^3 determines how many
-connected components the complement has: always 2, 3 or 4.
+inside (-1, 1)^3.  The signs of (A, B, C) and of their sum give the surface's
+family (cylinder, planes, cone, ellipsoid, hyperboloid), and its position
+relative to the faces and edges of (-1,1)^3 one of the 11 ``SUBCASES``, each
+with the number of connected components of the complement: 2, 3 or 4.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,10 @@ from .spectrum import ModeTriple
 
 __all__ = [
     "QuadricCoeffs",
-    "QuadricClass",
-    "ComponentPrediction",
+    "Subcase",
+    "SUBCASES",
     "LAMBDA11_MODES",
     "reduce_to_quadric",
-    "classify",
     "predict_components",
     "boundary_distance",
     "sine_coeffs_from_modes",
@@ -61,27 +59,33 @@ class QuadricCoeffs:
         return math.fsum((self.A, self.B, self.C))
 
 
-class QuadricClass(enum.Enum):
-    CYLINDER = "cylinder"
-    DOUBLE_PLANES = "double planes"
-    CROSSED_PLANES = "crossed planes"
-    CONE = "cone"
-    ELLIPSOID = "ellipsoid"
-    HYPERBOLOID_ONE_SHEET = "one-sheet hyperboloid"
-    HYPERBOLOID_TWO_SHEETS = "two-sheet hyperboloid"
-
-
 @dataclass(frozen=True)
-class ComponentPrediction:
-    """Predicted component count of (-1,1)^3 minus the quadric.
+class Subcase:
+    """One subcase of the predictor: its component count and a point inside it."""
 
-    ``w0`` is set only in the ellipsoid edge-cutting subcase: the surface
-    meets each edge parallel to the short axis along [-w0, +w0].
-    """
-
+    name: str
     count: int
-    subcase: str
-    w0: float | None = None
+    representative: tuple[float, float, float]
+
+
+# Every subcase the predictor can return, keyed by name.  The representative
+# is an (a, b, c), as ``reduce_to_quadric`` takes it, inside the subcase.
+SUBCASES = {
+    s.name: s
+    for s in (
+        Subcase("cylinder ellipse interior", 2, (1.0, 1.0, 0.0)),
+        Subcase("cylinder ellipse edge-cut", 3, (1.0, 4.0, 0.0)),
+        Subcase("cylinder hyperbola", 3, (0.0, 1.5, -0.5)),
+        Subcase("crossed planes", 4, (1.0, -1.0, 0.0)),
+        Subcase("double planes", 3, (1.0, 0.0, 0.0)),
+        Subcase("cone", 3, (0.2, 0.2, -0.4)),
+        Subcase("ellipsoid interior", 2, (0.3, 0.3, 0.4)),
+        Subcase("ellipsoid edge-cut", 3, (0.1, 0.1, 0.8)),
+        Subcase("one-sheet a<=1/4", 3, (0.2, 0.9, -0.1)),
+        Subcase("one-sheet a>1/4", 2, (0.5, 0.6, -0.1)),
+        Subcase("two-sheet", 3, (0.8, 0.8, -2.6)),
+    )
+}
 
 
 def reduce_to_quadric(a: float, b: float, c: float) -> QuadricCoeffs:
@@ -94,110 +98,81 @@ def reduce_to_quadric(a: float, b: float, c: float) -> QuadricCoeffs:
     return QuadricCoeffs(A=b, B=c, C=a)
 
 
-def classify(q: QuadricCoeffs) -> QuadricClass:
-    """Surface type from the exact sign pattern of (A, B, C).
+def _split(x: float, y: float, z: float, s: float) -> tuple[str, float | None]:
+    """Subcase name of 4(x u^2 + y v^2 + z w^2) = s, and its threshold margin.
 
-    With s = A+B+C: two zero coefficients give a pair of parallel planes; one
-    zero coefficient gives a cylinder (elliptic or hyperbolic) except for the
-    degenerate crossed planes at s = 0; three nonzero give a cone at s = 0, an
-    ellipsoid for a single sign, and otherwise a hyperboloid with one sheet
-    (ABC and s of opposite signs) or two sheets.  The sign of ABC is read from
-    the number of negative coefficients: the float product can underflow to 0.
+    Signs come from the coefficients, never from a product that can
+    underflow.  Rescaled to sum 1, an ellipsoid stays off the cube's edges
+    iff its two smallest coefficients have a+b > 1/4, and a one-sheet
+    hyperboloid iff its smaller transverse coefficient has a > 1/4.  The
+    margin is a+b - 1/4 or a - 1/4 in those two families, else None; a
+    margin of exactly 0 (a tangency) gets the closed, edge-cutting subcase.
     """
-    coeffs = (q.A, q.B, q.C)
-    nonzero = [t for t in coeffs if t != 0.0]
-    s = q.coefficient_sum
+    nonzero = [t for t in (x, y, z) if t != 0.0]
     if len(nonzero) == 1:
-        return QuadricClass.DOUBLE_PLANES
+        # 4 A u^2 = A: the planes u = +-1/2 cut three slabs.
+        return "double planes", None
     if len(nonzero) == 2:
-        if nonzero[0] * nonzero[1] > 0:
-            return QuadricClass.CYLINDER
-        return QuadricClass.CROSSED_PLANES if s == 0.0 else QuadricClass.CYLINDER
+        p, q = nonzero
+        if (p > 0) != (q > 0):
+            # Two planes through the axis at s = 0; otherwise both hyperbola
+            # branches run from one edge of the square to the opposite one.
+            return ("crossed planes" if s == 0.0 else "cylinder hyperbola"), None
+        # The ellipsoid threshold with one coefficient 0, decided exactly:
+        # small / (small + large) > 1/4 iff 3 small - large > 0.
+        small, large = sorted((abs(p), abs(q)))
+        inside = math.fsum((small, small, small, -large)) > 0
+        return ("cylinder ellipse interior" if inside else "cylinder ellipse edge-cut"), None
     if s == 0.0:
-        return QuadricClass.CONE
-    if all(t > 0 for t in coeffs) or all(t < 0 for t in coeffs):
-        return QuadricClass.ELLIPSOID
-    product_negative = sum(t < 0 for t in coeffs) % 2 == 1
-    if product_negative == (s > 0):
-        return QuadricClass.HYPERBOLOID_ONE_SHEET
-    return QuadricClass.HYPERBOLOID_TWO_SHEETS
+        # Touches the cube boundary only along edges/vertices: top, bottom, middle.
+        return "cone", None
+    # An ellipsoid if all three coefficients share the sign of s, a one-sheet
+    # hyperboloid if two do, a two-sheet one if one does.  Pick them by sign
+    # before dividing: a subnormal coefficient may divide to 0.
+    same = sorted(t / s for t in (x, y, z) if (t > 0) == (s > 0))
+    if len(same) == 3:
+        stat, off_edges, on_edges = same[0] + same[1], "ellipsoid interior", "ellipsoid edge-cut"
+    elif len(same) == 2:
+        stat, off_edges, on_edges = same[0], "one-sheet a>1/4", "one-sheet a<=1/4"
+    else:
+        return "two-sheet", None
+    margin = stat - 0.25
+    return (off_edges if margin > 0 else on_edges), margin
 
 
-def predict_components(q: QuadricCoeffs) -> ComponentPrediction:
-    """Component count of the cube complement, by exact case analysis.
+def predict_components(q: QuadricCoeffs) -> Subcase:
+    """The ``SUBCASES`` entry of the quadric, by exact case analysis.
 
+    Its count is that of the components of (-1,1)^3 minus the quadric.
     Normalizations (axis permutation, overall sign flip, rescaling to
     |A+B+C| = 1) leave the zero set and the count invariant and reduce each
-    class to one canonical position.  Inputs exactly on a subcase boundary
-    get the closed-subcase value (e.g. a tangent ellipsoid counts as the
-    edge-cutting case with w0 = 0).
+    family to one canonical position; the sign of A+B+C is exact.
     """
-    cls = classify(q)
-    if cls is QuadricClass.DOUBLE_PLANES:
-        # 4 A u^2 = A: the planes u = +-1/2 cut three slabs.
-        return ComponentPrediction(3, "double planes")
-    if cls is QuadricClass.CROSSED_PLANES:
-        # A u^2 + B v^2 = 0 with opposite signs: two planes through the axis.
-        return ComponentPrediction(4, "crossed planes")
-    if cls is QuadricClass.CONE:
-        # Touches the cube boundary only along edges/vertices: top, bottom, middle.
-        return ComponentPrediction(3, "cone")
-    if cls is QuadricClass.CYLINDER:
-        lo_pair = [t for t in (q.A, q.B, q.C) if t != 0.0]
-        if lo_pair[0] * lo_pair[1] > 0:
-            # Ellipse P u^2 + Q v^2 = (P+Q)/4; the long semi-axis stays inside the
-            # square iff small / (small + large) > 1/4, i.e. 3 small - large > 0 exactly.
-            small, large = sorted((abs(lo_pair[0]), abs(lo_pair[1])))
-            if math.fsum((small, small, small, -large)) > 0:
-                return ComponentPrediction(2, "cylinder ellipse interior")
-            return ComponentPrediction(3, "cylinder ellipse edge-cut")
-        # Hyperbola with P + Q = 1, P > 1: both branches run from the top edge
-        # of the square to the bottom edge, cutting off a side region each.
-        return ComponentPrediction(3, "cylinder hyperbola")
-    # Nondegenerate central quadrics: rescale so the coefficient sum is 1.
-    s = q.coefficient_sum
-    if cls is QuadricClass.ELLIPSOID:
-        t = sorted((q.A / s, q.B / s, q.C / s))
-        ab = t[0] + t[1]
-        if ab > 0.25:
-            return ComponentPrediction(2, "ellipsoid interior")
-        w0 = math.sqrt((0.25 - ab) / (1.0 - ab))
-        return ComponentPrediction(3, "ellipsoid edge-cut", w0=w0)
-    if cls is QuadricClass.HYPERBOLOID_ONE_SHEET:
-        # Two positive transverse coefficients a <= b and one negative, sum 1.
-        # Pick them by sign before dividing: a subnormal one may divide to 0.
-        a = min(x / s for x in (q.A, q.B, q.C) if (x > 0) == (s > 0))
-        if a <= 0.25:
-            return ComponentPrediction(3, "one-sheet a<=1/4")
-        return ComponentPrediction(2, "one-sheet a>1/4")
-    return ComponentPrediction(3, "two-sheet")
+    return SUBCASES[_split(q.A, q.B, q.C, q.coefficient_sum)[0]]
 
 
 def boundary_distance(a: float, b: float, c: float) -> float:
     """Distance of (a, b, c) from the predictor's subcase boundaries.
 
-    Measured on scale-normalized coefficients: nearness to a vanishing
-    coefficient (min |.| on the unit sphere), to the cone plane a+b+c = 0,
-    and - within the ellipsoid and one-sheet families - to the sum-normalized
-    thresholds a+b = 1/4 and a = 1/4.  Zero exactly on a boundary.  Used to
-    exclude resolution-fragile tangencies from predictor-vs-grid sweeps.
+    Measured on (a, b, c) rescaled to the unit sphere, so it does not depend
+    on scale: nearness to a vanishing coefficient (min |.|), to the cone plane
+    a+b+c = 0, and - within the ellipsoid and one-sheet families - to the
+    sum-normalized thresholds a+b = 1/4 and a = 1/4 that the predictor uses.
+    Zero exactly on a boundary.  Used to exclude resolution-fragile
+    tangencies from predictor-vs-grid sweeps.
     """
+    # An exact power-of-two rescale first, so the squares neither underflow
+    # nor overflow.
+    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     norm = math.sqrt(a * a + b * b + c * c)
     if norm == 0.0:
         raise ValueError("(a, b, c) must not all vanish")
     na, nb, nc = a / norm, b / norm, c / norm
-    d = min(abs(na), abs(nb), abs(nc))
     s = na + nb + nc
-    d = min(d, abs(s) / math.sqrt(3.0))
-    if s != 0.0:
-        t = sorted((na / s, nb / s, nc / s))
-        if all(x > 0 for x in t):
-            d = min(d, abs(t[0] + t[1] - 0.25))
-        else:
-            pos = [x for x in t if x > 0]
-            if len(pos) == 2:
-                d = min(d, abs(min(pos) - 0.25))
-    return d
+    d = min(abs(na), abs(nb), abs(nc), abs(s) / math.sqrt(3.0))
+    margin = _split(na, nb, nc, s)[1]
+    return d if margin is None else min(d, abs(margin))
 
 
 def sine_coeffs_from_modes(

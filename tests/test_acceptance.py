@@ -18,6 +18,7 @@ from cubenodal import (
     EigenCombo,
     ModeTriple,
     Parity,
+    SUBCASES,
     cli,
     count_nodal_domains,
     enumerate_groups,
@@ -104,23 +105,12 @@ def test_criterion_05_symmetry_exclusions():
               "bound 10), both excluded")
 
 
-FIGURE_CASES = [
-    ((1.0, 1.0, 0.0), 2),
-    ((1.0, -1.0, 0.0), 4),
-    ((1.0, 0.0, 0.0), 3),
-    ((0.2, 0.2, -0.4), 3),
-    ((0.3, 0.3, 0.4), 2),
+# One representative of each of the quadric predictor's 11 subcases, and three
+# more ellipsoid and one-sheet positions.
+FIGURE_CASES = [(s.representative, s.count) for s in SUBCASES.values()] + [
     ((0.2, 0.2, 0.6), 2),
-    ((0.1, 0.1, 0.8), 3),
-    ((0.2, 0.9, -0.1), 3),
-    ((0.5, 0.6, -0.1), 2),
     ((0.5, 0.8, -0.3), 2),
     ((0.8, 0.8, -0.6), 2),
-    ((0.8, 0.8, -2.6), 3),
-    # Cylinder ellipse edge-cut and cylinder hyperbola: each mask is constant
-    # along one axis.
-    ((1.0, 4.0, 0.0), 3),
-    ((0.0, 1.5, -0.5), 3),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cubenodal import CUBE, BoxSpec, cli, enumerate_groups, nodal, pleijel_cutoff
 from cubenodal.nodal import NodalCount, SweepResult, SweepSample
-from cubenodal.quadric import ComponentPrediction
+from cubenodal.quadric import Subcase
 from helpers import EIGENVALUE_TABLE, child_env
 
 DATA = Path(__file__).parent / "data"
@@ -422,7 +422,7 @@ def test_verdict_survivor_not_excluded_exits_with_warning(capsys, monkeypatch):
 
 def test_verdict_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
     # A predictor that disagrees with every grid count (2 or 3 at eigenvalue 11).
-    wrong = ComponentPrediction(5, "wrong")
+    wrong = Subcase("wrong", 5, (1.0, 1.0, 1.0))
     monkeypatch.setattr(cli.quadric, "predict_components", lambda q: wrong)
     code, out = run_main(
         ["verdict", "--samples", "6", "--resolution", "32", "--seed", "2", "--format", "json"],
@@ -441,7 +441,7 @@ def test_verdict_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
 
 def test_sweep_predictor_mismatch_exits_with_warning(capsys, monkeypatch):
     # A predictor that disagrees with every grid count (2 or 3 at eigenvalue 11).
-    wrong = ComponentPrediction(5, "wrong")
+    wrong = Subcase("wrong", 5, (1.0, 1.0, 1.0))
     monkeypatch.setattr(cli.quadric, "predict_components", lambda q: wrong)
     assert cli.main(SWEEP_GOLDEN_ARGV + ["--format", "json"]) == 2
     records = json.loads(capsys.readouterr().out)["records"]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubenodal import (
-    QuadricClass,
+    SUBCASES,
     boundary_distance,
-    classify,
+    cli,
     predict_components,
     reduce_to_quadric,
 )
@@ -65,20 +65,20 @@ def test_reduction_identity_at_center():
 @pytest.mark.parametrize(
     "abc,expected",
     [
-        ((0.3, 0.3, 0.4), QuadricClass.ELLIPSOID),
-        ((0.2, 0.2, -0.4), QuadricClass.CONE),
-        ((0.8, 0.8, -2.6), QuadricClass.HYPERBOLOID_TWO_SHEETS),
-        ((0.2, 0.9, -0.1), QuadricClass.HYPERBOLOID_ONE_SHEET),
-        ((1.0, 1.0, 0.0), QuadricClass.CYLINDER),
-        ((0.0, 1.5, -0.5), QuadricClass.CYLINDER),
-        ((1.0, -1.0, 0.0), QuadricClass.CROSSED_PLANES),
-        ((1.0, 0.0, 0.0), QuadricClass.DOUBLE_PLANES),
+        ((0.3, 0.3, 0.4), "ellipsoid interior"),
+        ((0.2, 0.2, -0.4), "cone"),
+        ((0.8, 0.8, -2.6), "two-sheet"),
+        ((0.2, 0.9, -0.1), "one-sheet a<=1/4"),
+        ((1.0, 1.0, 0.0), "cylinder ellipse interior"),
+        ((0.0, 1.5, -0.5), "cylinder hyperbola"),
+        ((1.0, -1.0, 0.0), "crossed planes"),
+        ((1.0, 0.0, 0.0), "double planes"),
         # A*B*C underflows to -0.0; the sign comes from the one negative term.
-        ((0.5, 0.5, -5e-324), QuadricClass.HYPERBOLOID_ONE_SHEET),
+        ((0.5, 0.5, -5e-324), "one-sheet a>1/4"),
     ],
 )
 def test_classify(abc, expected):
-    assert classify(reduce_to_quadric(*abc)) is expected
+    assert predict_components(reduce_to_quadric(*abc)).name == expected
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,9 @@ def test_classify(abc, expected):
         ((0.8, 0.8, -0.6), 2),
         ((0.8, 0.8, -2.6), 3),
         ((0.5, 0.5, -5e-324), 2),
+        # The product of the nonzero pair underflows: (0, 1, 1) and (1, -1, 0) scaled.
+        ((0.0, 1e-170, 1e-170), 2),
+        ((1e-170, -1e-170, 0.0), 4),
     ],
 )
 def test_predicted_counts(abc, count):
@@ -107,17 +110,14 @@ def test_predicted_counts(abc, count):
 def test_ellipsoid_edge_cut_details():
     pred = predict_components(reduce_to_quadric(0.1, 0.1, 0.8))
     assert pred.count == 3
-    assert pred.subcase == "ellipsoid edge-cut"
-    assert pred.w0 == pytest.approx(math.sqrt(0.05 / 0.8))
-    assert pred.w0 == pytest.approx(0.25)
-    assert 0 < pred.w0 < 1
+    assert pred.name == "ellipsoid edge-cut"
 
 
 def test_ellipsoid_boundary_uses_closed_subcase():
-    # a+b exactly 1/4: tangent to the edges, reported as edge-cut with w0=0.
+    # a+b exactly 1/4: tangent to the edges, reported as edge-cut.
     pred = predict_components(reduce_to_quadric(0.125, 0.125, 0.75))
     assert pred.count == 3
-    assert pred.w0 == 0.0
+    assert pred.name == "ellipsoid edge-cut"
 
 
 def test_counts_always_in_2_3_4():
@@ -144,6 +144,7 @@ def test_counts_always_in_2_3_4():
 @example((1.54e-303, 1.0, -2.24e-26), -42.0)  # unscaled A*B*C underflows to -0.0
 @example((1.0, -3.0, -5e-324), -1.5)  # the subnormal A/s underflows to 0
 @example((0.0, 1.0, 2.9999999999999996), 2.5)  # small / (|P|+|Q|) rounds to 1/4
+@example((0.0, 1.0, 1.0), 1e-170)  # the scaled pair's product underflows to 0
 def test_scale_and_sign_invariance(abc, t):
     a, b, c = abc
     base = predict_components(reduce_to_quadric(a, b, c))
@@ -156,9 +157,7 @@ def test_scale_and_sign_invariance(abc, t):
     if any((v == 0) != (t * v == 0) for v in abc):
         return
     assert scaled.count == base.count
-    assert classify(reduce_to_quadric(t * a, t * b, t * c)) is classify(
-        reduce_to_quadric(a, b, c)
-    )
+    assert scaled.name == base.name
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,5 +193,22 @@ def test_boundary_distance_positive_inside_subcases():
 def test_boundary_distance_scale_invariant():
     for abc in [(0.3, 0.3, 0.4), (0.5, 0.6, -0.1), (1.0, -2.0, 0.7)]:
         d1 = boundary_distance(*abc)
-        d2 = boundary_distance(*(4.0 * v for v in abc))
-        assert d1 == pytest.approx(d2)
+        for scale in (4.0, 1e-200, 1e200):  # the squares under- and overflow at the extremes
+            d2 = boundary_distance(*(scale * v for v in abc))
+            assert d1 == pytest.approx(d2), scale
+
+
+def test_subcase_table_representatives():
+    # Six subcases have a vanishing coefficient or lie on the cone plane, so
+    # they are boundaries themselves; sweeps check the other five.
+    degenerate = 0
+    for name, entry in SUBCASES.items():
+        abc = entry.representative
+        assert entry.name == name
+        assert predict_components(reduce_to_quadric(*abc)) is entry
+        if 0.0 in abc or math.fsum(abc) == 0.0:
+            degenerate += 1
+            assert boundary_distance(*abc) == 0.0, name
+        else:
+            assert boundary_distance(*abc) > cli.BOUNDARY_SKIP_RADIUS, name
+    assert (len(SUBCASES), degenerate) == (11, 6)

@@ -4,21 +4,24 @@ An eigenfunction is sampled on the interior lattice x = i pi/n, 1 <= i <= n-1
 (per axis); the strictly positive and strictly negative sample sets are
 labeled under 6-neighbor (face) connectivity and counted separately.  Labels
 are found on runs, the stretches of one sign along z within a line of the
-grid: two runs are face neighbors if they overlap in adjacent lines.  Runs
-keep their labels for the whole count, and one union-find merges the links
-within each slab of x-rows, then, once per count, the pairs across slab
-faces and the antipodal glue.  Samples that are exactly zero belong to no
-component: sign regions of an eigenfunction are open, and zeros land
-exactly on lattice-aligned nodal planes, so assigning them to either side
-would corrupt counts.  A slab's zeros are its samples in no run.
+grid: two runs are face neighbors if they overlap in adjacent lines.  Samples
+that are exactly zero belong to no component: sign regions of an
+eigenfunction are open, and zeros land exactly on lattice-aligned nodal
+planes, so assigning them to either side would corrupt counts.  The zeros
+are the samples in no run.
 
 The runs come from one of two sources.  If every active mode's z-frequency
 lies in {1, 2} or in {1, 3}, as for eigenvalue 11, then sin 2z = 2 sin z cos z
 and sin 3z = sin z (4cos^2 z - 1) give each z-line a closed form with at most
-one sign change per monotone branch of cos z, and the runs are cut at its
-roots, with no sample evaluated (``_root_runs``).  That holds only where a
-rounding bound proves every sample's sign; otherwise, and for every other
-grid, the runs are found on the samples.
+one sign change per monotone branch of cos z.  Each line's runs then lie in
+two or three fixed slots cut at its roots, with no sample evaluated
+(``_root_runs``), and the grid is labelled on those slots at once
+(``_label_slots``).  That holds only where a rounding bound proves every
+sample's sign; otherwise, and for every other grid, the runs are found on
+the samples, a slab of x-rows at a time, and labelled per slab
+(``_label_slabs``).  Either way the labels keep their ids for the whole
+count, and one union-find merges the links, the pairs across slab faces and
+the antipodal glue.
 
 A count is trusted once it is stable under one resolution doubling; on
 disagreement the resolution keeps doubling up to a cap, and the final result
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -71,9 +74,11 @@ RESOLUTION_CAP = 512
 SLAB_POINTS = 1 << 18
 # Grids of fewer samples are counted on their samples even where their
 # z-lines have a closed form (_root_runs): its fixed cost of about a hundred
-# numpy calls is more than their samples cost.  On a 2-vCPU machine, 32^3
-# quotients counted 40 to 110 us slower on roots, 32 x 63^2 ones 30 to 60 us
-# faster.
+# numpy calls is more than their samples cost.  On a 2-vCPU machine, with
+# the slot labeller, 16^3 quotients counted 30 to 120 us slower on roots,
+# 32^3 ones 27 to 62 us faster, 32 x 63^2 ones 290 to 395 us faster and 64^3
+# ones 0.9 to 1.0 ms faster.  Lowering this to 2^15 read the census-48
+# counts 2.9% slower and 0.6% faster in two runs, so it stays.
 ROOT_POINTS = 1 << 16
 
 
@@ -236,18 +241,20 @@ def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     No Python loop runs over ids: each pair hooks the larger of its two roots
     to the smaller (``np.minimum.at``), then every id jumps to its label's
-    label as often as a chain through every id takes, so that each holds its
-    root again.  Pairs whose ends now share a root are dropped, and the rest
-    go round again.
+    label until no label moves, so that each holds its root again.  Pairs
+    whose ends now share a root are dropped, and the rest go round again.
     """
     labels = np.arange(count)
     while a.size:
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        for _ in range(count.bit_length()):
-            labels = labels[labels]
-        a, b = labels[a], labels[b]
-        apart = a != b
-        a, b = a[apart], b[apart]
+        while True:
+            jumped = labels.take(labels)
+            if not np.count_nonzero(jumped != labels):
+                break
+            labels = jumped
+        a, b = labels.take(a), labels.take(b)
+        apart = (a != b).nonzero()[0]
+        a, b = a.take(apart), b.take(apart)
     return labels
 
 
@@ -336,9 +343,9 @@ def _branch(n: int, f: int, h: int) -> np.ndarray | None:
     return padded if np.all(np.diff(padded[1:-1]) < -(2.0**-40)) else None
 
 
-def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray] | None:
-    """The runs of every z-line of the grid, found from the line's closed
-    form, or None if the grid must be sampled.
+def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The slots that hold the runs of every z-line of the grid, found from
+    the line's closed form, or None if the grid must be sampled.
 
     The closed form.  Let every active mode's z-frequency lie in {1, 2} or
     in {1, 3}; f is the frequency other than 1 (2 if there is none), t is
@@ -392,9 +399,15 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray] | None:
     end of each stretch, or the sums could overflow (B1 + 4 Bf >= 2^1000),
     the grid is sampled.
 
-    Returns, per sign (v > 0 first), the runs' starts and ends interleaved,
-    in order, as positions in a layout of every x-row with the lines of
-    ``_label_runs``: line (i, j) starts at (i (sy+1) + j)(sz+1).
+    The slots.  A line's runs lie in C fixed slots, C = 2, or 3 where the
+    branch is mirrored: [0, a), [b, sz - b') and [sz - a', sz), with a', b'
+    the mirrored parts of a and b, and a line of one sign is slot 0 alone.
+    Returns ``signs`` (int8), ``lo`` and ``hi``, each of shape (C, sx sy),
+    line (i, j) at i sy + j: each slot's sign, 0 if it holds no sample of
+    either sign, and its z-interval [lo, hi), which is [0, 0) for a slot of
+    sign 0, so that it overlaps nothing.  Within a line the slots come in
+    the order of z, and two slots of one sign never touch, so each slot of
+    a sign is a whole run.
     """
     freqs = set(grid.zfreqs)
     if not freqs or not (freqs <= {1, 2} or freqs <= {1, 3}):
@@ -440,63 +453,31 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray] | None:
         )
     decided &= ((a == b) | b1) & ((a == 0) | (b == h) | (head != tail))
     decided |= vanish
-    # Each per-line array goes once read, so that the runs are built under a
+    # Each per-line array goes once read, so that the slots are built under a
     # traced peak well below a slab of samples.
     del beta, alpha, eta, b1, vanish, first, last
     if not decided.all():
         return None
-    # Per line, the runs [0, a), [b, sz - b') and [sz - a', sz), with a', b'
-    # the mirrored parts; a line of one sign is one run.
-    columns = 3 if fold else 2
-    signs = np.empty((len(a), columns))
-    signs[:, 0], signs[:, 1] = head, tail
+    # Per line, the slots [0, a), [b, sz - b') and [sz - a', sz), with a', b'
+    # the mirrored parts; a line of one sign is slot 0 alone.
+    slots = 3 if fold else 2
+    signs = np.empty((slots, len(a)), np.int8)
+    signs[0], signs[1] = head, tail
     if fold:
-        signs[:, 2] = head
+        signs[2] = head
     del head, tail
     whole = a == h
-    origin = (np.arange(sx)[:, None] * (sy + 1) + np.arange(sy)).ravel() * (sz + 1)
-    lo, hi = np.empty((2, len(a), columns), np.intp)
-    lo[:, 0], hi[:, 0] = origin, origin + np.where(whole, sz, a)
-    lo[:, 1], hi[:, 1] = origin + b, origin + (sz - np.minimum(b, fold))
+    lo, hi = np.empty((2, slots, len(a)), np.int32)
+    lo[0], hi[0] = 0, np.where(whole, sz, a)
+    lo[1], hi[1] = b, sz - np.minimum(b, fold)
     if fold:
-        lo[:, 2], hi[:, 2] = origin + (sz - np.where(whole, 0, np.minimum(a, fold))), origin + sz
-    del a, b, whole, origin
-    signs *= hi > lo
-    runs = []
-    for sign in (1.0, -1.0):
-        at = np.flatnonzero(signs == sign)
-        edges = np.empty((len(at), 2), np.intp)
-        lo.take(at, out=edges[:, 0])
-        hi.take(at, out=edges[:, 1])
-        runs.append(edges.ravel())
-    return runs[0], runs[1]
-
-
-def _rooted_bounds(
-    grid: ScalarGrid, runs: tuple[np.ndarray, np.ndarray], start: int, stop: int
-) -> np.ndarray:
-    """The run bounds of x-rows start..stop-1, and of x-row start-1 before
-    them, in the layout of ``_label_runs``, cut from ``_root_runs``."""
-    _, sy, sz = grid.shape
-    plane = (sy + 1) * (sz + 1)
-    rows = stop - start
-    parts = []
-    for half, edges in enumerate(runs):
-        lo, hi = edges.searchsorted((max(start - 1, 0) * plane, stop * plane))
-        parts.append(edges[lo:hi] + (half * (rows + 2) + 1 - start) * plane)
-    parts.append([2 * (rows + 2) * plane - 1])
-    return np.concatenate(parts)
-
-
-def _slab_bounds(grid: ScalarGrid, step: int, *workspace: np.ndarray):
-    """The function from a slab's x-rows start..stop-1 to their run bounds
-    (``_label_runs``): cut from ``_root_runs`` when it settles a grid of at
-    least ``ROOT_POINTS`` samples, and found on the samples, in
-    ``workspace``, otherwise."""
-    runs = _root_runs(grid) if math.prod(grid.shape) >= ROOT_POINTS else None
-    if runs is None:
-        return partial(_sampled_bounds, grid, step, *workspace)
-    return partial(_rooted_bounds, grid, runs)
+        lo[2], hi[2] = sz - np.where(whole, 0, np.minimum(a, fold)), sz
+    del a, b, whole
+    np.copyto(signs, 0, where=hi <= lo)
+    empty = signs == 0
+    np.copyto(lo, 0, where=empty)
+    np.copyto(hi, 0, where=empty)
+    return signs, lo, hi
 
 
 def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
@@ -520,15 +501,20 @@ def _slab_workspace(*sizes: int) -> tuple[np.ndarray, ...]:
     """The workspace, grown first if a buffer holds fewer bytes than ``sizes``."""
     global _workspace
     if len(_workspace) < len(sizes) or any(len(w) < size for w, size in zip(_workspace, sizes)):
-        if not _workspace:
-            # glibc mmaps a block above its mmap threshold (128 KiB at first),
-            # and faults its pages in afresh each time; freeing a larger
-            # mmapped block raises the threshold to that block's size.  So
-            # one untouched 8 MiB block, freed at once, lets the run-sized
-            # temporaries of every later count reuse the heap's pages.
-            np.empty(8 << 20, np.uint8)
         _workspace = tuple(np.empty(max(size, 8 * SLAB_POINTS), np.uint8) for size in sizes)
     return _workspace
+
+
+@cache
+def _raise_mmap_threshold() -> None:
+    """Free one untouched 8 MiB block, once per process.
+
+    glibc mmaps a block above its mmap threshold (128 KiB at first), and
+    faults its pages in afresh each time; freeing a larger mmapped block
+    raises the threshold to that block's size.  So the run-sized and
+    line-sized temporaries of every later count reuse the heap's pages.
+    """
+    np.empty(8 << 20, np.uint8)
 
 
 def _images(shape: tuple[int, ...], axes: list[int]) -> int:
@@ -549,49 +535,32 @@ def _run_images(lengths: np.ndarray, on_y, on_z, axes: list[int]) -> np.ndarray:
     return lengths
 
 
-def count_components(grid: ScalarGrid) -> NodalCount:
-    """Face-connected components of the positive and negative sample sets.
+def _label_slabs(grid: ScalarGrid) -> tuple:
+    """The components of a grid found on its samples, for ``_tally``.
 
-    Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
-    its quotient.  The grid is counted in slabs of at most ``SLAB_POINTS``
-    samples, or one x-row if that is larger.  Each slab's runs along z, of
-    both signs, come from one function (``_slab_bounds``): cut at the roots
-    of the z-lines' closed form when it proves every sample's sign of a grid
-    of at least ``ROOT_POINTS`` samples, and otherwise found on the samples,
-    evaluated into one workspace that every count reuses.  They are labelled
-    at once (``_label_runs``), and a slab's zeros are its samples in no run,
-    from the runs' lengths.
-
-    Labels stay on runs for the whole count, numbered on across slabs with
-    a sign each, and one ``_union`` merges them.  Each slab's layout starts
-    with the previous slab's last x-row, whose runs pair one to one, in
-    order, with that slab's.  A component counts 2 for each mirror plane
-    (the last index of a mirror axis) that none of its runs touches, which
-    is its number of images on the whole grid; an antisymmetric mirror maps
-    each component onto one of the other sign, so then the two signs split
-    the total evenly.  With an inversion ε the whole grid is a double cover
-    of the half i <= n/2: its components, and a copy of them seen through g,
-    where each takes ε times its sign.  The two sheets meet only at the
-    plane i = n/2, the last x-row, which g maps to itself by (j, k) ->
-    (n-j, n-k); each run there joins the copy's component of its image run.
+    The grid is evaluated in slabs of at most ``SLAB_POINTS`` samples, or
+    one x-row if that is larger, into one workspace that every count reuses.
+    Each slab's runs along z, of both signs, are found on its samples
+    (``_sampled_bounds``) and labelled at once (``_label_runs``), with ids
+    numbered on across slabs.  Each slab's layout starts with the previous
+    slab's last x-row, whose runs pair one to one, in order, with that
+    slab's.  A slab's zeros are its samples in no run, from the runs'
+    lengths.
     """
     sx, sy, sz = grid.shape
     step = max(1, SLAB_POINTS // (sy * sz))
     line, plane = sz + 1, (sy + 1) * (sz + 1)
     layout = 2 * (step + 2) * plane  # the bytes of _sampled_bounds' marks
-    slab_bounds = _slab_bounds(
-        grid, step, *_slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
-    )
-    mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
-    yz_axes = [axis for axis in mirror_axes if axis]
-    on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in mirror_axes}
+    workspace = _slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
+    yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
+    on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in yz_axes}
     links = [np.empty((2, 0), np.intp)]  # pairs of ids of one component
     negative = []  # per slab, whether each of its components is one of v < 0
     total = n_zero = 0
     for start in range(0, sx, step):
         rows = min(step, sx - start)
         starts, ends, ids, (n_pos, n_neg) = _label_runs(
-            slab_bounds(start, start + rows), (rows, sy, sz), total
+            _sampled_bounds(grid, step, *workspace, start, start + rows), (rows, sy, sz), total
         )
         half = (rows + 2) * plane
         # Runs on the y mirror plane lie in the last line of an x-row; those on the z one end a line.
@@ -599,7 +568,7 @@ def count_components(grid: ScalarGrid) -> NodalCount:
         on_z = 2 in yz_axes and ends % line == sz
         for axis, on in ((1, on_y), (2, on_z)):
             if axis in yz_axes:
-                on_planes[axis].append(ids[on])
+                on_planes[axis].append(ids.take(on.nonzero()[0]))
         images = _run_images(ends - starts, on_y, on_z, yz_axes)
         if start:
             # The carried x-row is the previous slab's, whose zeros are counted.
@@ -614,35 +583,141 @@ def count_components(grid: ScalarGrid) -> NodalCount:
         # Only the last x-row's runs are read again, so the slab's others are
         # released before the next slab is labelled, not held under its peak.
         del starts, ends, ids, images, on_y, on_z
+    return (
+        np.concatenate(negative),
+        np.concatenate(links, axis=1),
+        {axis: np.concatenate(ids) for axis, ids in on_planes.items()},
+        (s, e, last_ids),
+        n_zero,
+        _images((1, sy, sz), yz_axes) - int(last_images.sum()),
+    )
+
+
+def _slot_links(signs, lo, hi, joined, step: int) -> np.ndarray:
+    """Which slots s of line k and t of line k + step have one sign and
+    overlap in z, as a (C, C, lines - step) mask, less each pair whose two
+    slots are joined to those of the pair one line before (``joined``)."""
+    mask = signs[:, None, :-step] == signs[None, :, step:]
+    mask &= lo[:, None, :-step] < hi[None, :, step:]
+    mask &= lo[None, :, step:] < hi[:, None, :-step]
+    mask[..., 1:] &= ~(mask[..., :-1] & joined[:, None, 1:-step] & joined[None, :, step + 1 :])
+    return mask
+
+
+def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
+    """The components of a grid whose runs lie in the slots of ``_root_runs``,
+    for ``_tally``.
+
+    A slot of one line is joined to the same slot of the next line of its
+    x-row if the two have one sign and overlap in z.  The chains of joined
+    slots are numbered in the order of their first slots, the heads, and as
+    a chain's slots lie one after the other, a slot's chain is the last head
+    at or before it (``searchsorted``).  The other links are the overlaps of
+    any two slots of one sign in neighbouring lines (``_slot_links``):
+    across slots between y-neighbours, and between x-neighbours.  A link
+    that continues the link one line before it along both of its chains is
+    dropped.  The zeros are the samples in no slot, from the slots' lengths.
+    """
+    sx, sy, sz = grid.shape
+    slots, lines = signs.shape
+    joined = np.zeros((slots, lines), bool)
+    np.equal(signs[:, 1:], signs[:, :-1], out=joined[:, 1:])
+    joined[:, 1:] &= lo[:, 1:] < hi[:, :-1]
+    joined[:, 1:] &= lo[:, :-1] < hi[:, 1:]
+    joined[:, ::sy] = False
+    heads = np.flatnonzero((signs != 0) & ~joined)
+
+    def chains(nodes: np.ndarray) -> np.ndarray:
+        """The chain of each signed slot in ``nodes``, flat indices of (C, lines)."""
+        return heads.searchsorted(nodes, "right") - 1
+
+    links = [np.empty((2, 0), np.intp)]
+    for axis, step in ((1, 1), (0, sy)):
+        mask = _slot_links(signs, lo, hi, joined, step)
+        if axis == 1:
+            mask[np.arange(slots), np.arange(slots)] = False  # one slot's links are its chain
+            mask[..., sy - 1 :: sy] = False  # line j = sy-1 has no y-neighbour in its x-row
+        s, t, k = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        links.append(np.stack((chains(s * lines + k), chains(t * lines + k + step))))
+    yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
+    on_planes = {}
+    if 1 in yz_axes:
+        edge = (np.arange(sy - 1, lines, sy) + np.arange(0, slots * lines, lines)[:, None]).ravel()
+        on_planes[1] = chains(edge.take(signs.ravel().take(edge).nonzero()[0]))
+    if 2 in yz_axes:
+        # A slot of sign 0 ends at 0, so the stretch from one head to the next
+        # finds sz only among the slots of the first head's chain.
+        on_planes[2] = np.logical_or.reduceat(hi.ravel() == sz, heads).nonzero()[0]
+    lengths = (hi - lo).reshape(slots, sx, sy)
+    on_z = (hi == sz).reshape(lengths.shape)
+    images = _run_images(lengths, np.arange(sy) == sy - 1, on_z, yz_axes)
+    # The last x-row's slots, line by line and so in the order of z, v > 0 first.
+    row = signs[:, lines - sy :].T.ravel()
+    at = np.concatenate(((row > 0).nonzero()[0], (row < 0).nonzero()[0]))
+    j, slot = np.divmod(at, slots)
+    k = slot * lines + (lines - sy) + j
+    j *= sz + 1
+    return (
+        signs.ravel().take(heads) < 0,
+        np.concatenate(links, axis=1),
+        on_planes,
+        (j + lo.take(k), j + hi.take(k), chains(k)),
+        _images((sx, sy, sz), yz_axes) - int(images.sum()),
+        _images((1, sy, sz), yz_axes) - int(images[:, -1].sum()),
+    )
+
+
+def _tally(
+    grid: ScalarGrid, negative, links, on_planes: dict, last: tuple, n_zero: int, last_zero: int
+) -> NodalCount:
+    """The count of a grid from the ids of its labeller.
+
+    ``negative`` marks the ids of components of v < 0; ``links`` holds pairs
+    of ids of one component; ``on_planes`` the ids on the y and z mirror
+    planes; ``last`` the last x-row's runs, v > 0 first, each sign in the
+    order of the row: their starts and ends, the positions before their
+    first samples and of their last, whose remainders mod (sy+1)(sz+1) are
+    their positions in a layout of the row with a zero before each line, and
+    their ids; ``n_zero`` the zeros, each counted once per image under the y
+    and z mirrors, and ``last_zero`` those of the last x-row.
+    """
+    _, sy, sz = grid.shape
+    line, plane = sz + 1, (sy + 1) * (sz + 1)
+    mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
+    s, e, last_ids = last
     # The x mirror plane, or the plane g maps to itself, is the last x-row.
     if grid.mirrors[0] or grid.inversion:
-        n_zero = 2 * n_zero - (_images((1, sy, sz), yz_axes) - int(last_images.sum()))
+        n_zero = 2 * n_zero - last_zero
     if grid.mirrors[0]:
-        on_planes[0].append(last_ids)
-    negative = np.concatenate(negative)
-    links = np.concatenate(links, axis=1)
+        on_planes = {**on_planes, 0: last_ids}
+    total = len(negative)
     if grid.inversion:
         # g maps the last x-row to itself by (j, k) -> (sy-1-j, sz-1-k) and
-        # each sample to ε times itself: a run (s, e] there goes to (c-e, c-s],
-        # c being the two rows' offsets in the layout plus (sy-1)(sz+1)+sz, in
-        # the half of ε times its sign.  So the k-th run from the end of a half
-        # lands on the k-th run of its image half, and its copy joins that run.
-        # No sort is made: a process's first np.argsort faults in about 256 KiB
-        # of numpy's code, which showed in the census's peak RSS.
-        c = 2 * rows * plane + (sy - 1) * line + sz
-        c += half if grid.inversion < 0 else 2 * half * (s >= half)
-        shift = 0 if grid.inversion < 0 else np.count_nonzero(s < half)
-        order = np.roll(np.arange(len(s))[::-1], shift)
-        if np.count_nonzero((c - e)[order] != s) or np.count_nonzero((c - s)[order] != e):
+        # each sample to ε times itself: a run (s, e] there goes to (c-e, c-s]
+        # in the row, c = (sy-1)(sz+1)+sz, with ε times its sign.  So the k-th
+        # run from the end of a sign lands on the k-th run of its image's sign,
+        # and its copy joins that run.  No sort is made: a process's first
+        # np.argsort faults in about 256 KiB of numpy's code, which showed in
+        # the census's peak RSS.
+        s, e = s % plane, e % plane
+        flip = grid.inversion < 0
+        neg = negative[last_ids]
+        order = np.roll(np.arange(len(s))[::-1], 0 if flip else len(s) - np.count_nonzero(neg))
+        c = (sy - 1) * line + sz
+        if (
+            np.count_nonzero((c - e)[order] != s)
+            or np.count_nonzero((c - s)[order] != e)
+            or np.count_nonzero(neg[order] == (neg == flip))
+        ):
             raise ValueError("the grid's plane i = n/2 is not mapped to itself by g")
         links = np.concatenate((links, links + total, (last_ids[order], last_ids + total)), axis=1)
-        negative = np.concatenate((negative, negative != (grid.inversion < 0)))
+        negative = np.concatenate((negative, negative != flip))
     size = len(negative)
     labels = _union(size, *links)
     touched = np.zeros(size, np.intp)
     for ids in on_planes.values():
         on = np.zeros(size, bool)
-        on[labels[np.concatenate(ids)]] = True
+        on[labels.take(ids)] = True
         touched += on
     weights = (1 << (len(mirror_axes) - touched)) * (labels == np.arange(size))
     n_neg = int(weights[negative].sum())
@@ -650,6 +725,34 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     if -1 in grid.mirrors:
         n_pos = n_neg = (n_pos + n_neg) // 2
     return NodalCount(n_pos, n_neg, int(n_zero), grid.n, False)
+
+
+def count_components(grid: ScalarGrid) -> NodalCount:
+    """Face-connected components of the positive and negative sample sets.
+
+    Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
+    its quotient.  A grid of at least ``ROOT_POINTS`` samples whose z-lines'
+    closed form proves every sample's sign (``_root_runs``) is labelled on
+    its lines' slots (``_label_slots``), with no sample evaluated; every
+    other grid is labelled on the runs of its samples, slab by slab
+    (``_label_slabs``).  Either labeller gives ids with a sign each, pairs
+    of ids to merge, the ids on the mirror planes, the last x-row's runs and
+    the zeros, and one tail (``_tally``) weighs and merges them.
+
+    A component counts 2 for each mirror plane (the last index of a mirror
+    axis) that none of its runs touches, which is its number of images on
+    the whole grid; an antisymmetric mirror maps each component onto one of
+    the other sign, so then the two signs split the total evenly.  With an
+    inversion ε the whole grid is a double cover of the half i <= n/2: its
+    components, and a copy of them seen through g, where each takes ε times
+    its sign.  The two sheets meet only at the plane i = n/2, the last
+    x-row, which g maps to itself by (j, k) -> (n-j, n-k); each run there
+    joins the copy's component of its image run.  One ``_union`` merges
+    every pair.
+    """
+    _raise_mmap_threshold()
+    slots = _root_runs(grid) if math.prod(grid.shape) >= ROOT_POINTS else None
+    return _tally(grid, *(_label_slabs(grid) if slots is None else _label_slots(grid, *slots)))
 
 
 def count_nodal_domains(

@@ -313,8 +313,8 @@ def test_quotient_count_matches_full_grid(case):
 def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     # Every grid here fits one slab by default; one x-row per slab makes each
     # component cross slab faces, and the counts must not change, whether
-    # the runs come from samples or, where the z-lines have a closed form,
-    # from its roots.
+    # the grid is labelled on the runs of its samples or, where the z-lines
+    # have a closed form, on their slots, which no slab size reaches.
     combos, n0, _, _, _ = QUOTIENT_CASES[case]
     grids = [
         sample_field(combo, n, quotient)
@@ -593,8 +593,8 @@ def test_counts_match_whole_grid_labels(monkeypatch):
     # An oracle independent of the kernel: ndimage.label on the whole grid's
     # samples, against counts on whole grids, mirror quotients and antipodal
     # quotients, in one slab and with one x-row per slab.  The grids of
-    # ROOT_COMBOS are counted on runs from their z-lines' closed form, with
-    # one threshold per line on a quotient's z-axis and two at odd n.
+    # ROOT_COMBOS are counted on the slots of their z-lines' closed form,
+    # with one threshold per line on a quotient's z-axis and two at odd n.
     monkeypatch.setattr(nodal, "ROOT_POINTS", 0)
     grids, expected = [], []
     for combo in ORACLE_COMBOS + ROOT_COMBOS:
@@ -623,16 +623,23 @@ def test_counts_match_whole_grid_labels(monkeypatch):
 
 
 def root_masks(grid):
-    """The masks v > 0 and v < 0 of ``grid`` painted from the runs that
-    ``nodal._root_runs`` finds on its z-lines' closed form."""
-    sx, sy, sz = grid.shape
-    size = sx * (sy + 1) * (sz + 1)
+    """The masks v > 0 and v < 0 of ``grid``, with one empty sample after
+    each line, painted from the slots that ``nodal._root_runs`` finds on its
+    z-lines' closed form."""
+    return slot_masks(grid.shape, *nodal._root_runs(grid))
+
+
+def slot_masks(shape, signs, lo, hi):
+    """The masks v > 0 and v < 0 of a grid of ``shape``, with one empty
+    sample after each line, painted from slots of ``nodal._root_runs``' form."""
+    sx, sy, sz = shape
     masks = []
-    for edges in nodal._root_runs(grid):
-        paint = np.zeros(size + 1, np.int8)
-        np.add.at(paint, edges[0::2] + 1, 1)
-        np.add.at(paint, edges[1::2] + 1, -1)
-        masks.append(np.cumsum(paint, dtype=np.int8)[:size].reshape(sx, sy + 1, sz + 1))
+    for sign in (1, -1):
+        slot, line = np.nonzero(signs == sign)
+        paint = np.zeros((sx * sy, sz + 1), np.int8)
+        np.add.at(paint, (line, lo[slot, line]), 1)
+        np.add.at(paint, (line, hi[slot, line]), -1)
+        masks.append(np.cumsum(paint, axis=1, dtype=np.int8).reshape(sx, sy, sz + 1))
     return masks
 
 
@@ -641,11 +648,19 @@ def check_root_signs(grid):
     sx, sy, sz = grid.shape
     for painted_mask, mask in zip(root_masks(grid), (values > 0, values < 0)):
         # Nothing is painted outside the lines, nor twice.
-        assert not painted_mask[:, sy].any() and not painted_mask[..., 0].any()
-        assert np.array_equal(painted_mask[:, :sy, 1:], mask)
-    for edges in nodal._root_runs(grid):
-        # Each run is whole: none starts where the one before it ends.
-        assert not np.any(edges[2::2] == edges[1:-1:2])
+        assert not painted_mask[..., sz].any()
+        assert np.array_equal(painted_mask[..., :sz], mask)
+    signs, lo, hi = nodal._root_runs(grid)
+    assert signs.shape == lo.shape == hi.shape == (len(signs), sx * sy)
+    # A slot of sign 0 overlaps nothing; the others lie in z order.
+    assert np.all(lo[signs == 0] == 0) and np.all(hi[signs == 0] == 0)
+    assert np.all((0 <= lo) & (lo < hi) & (hi <= sz) | (signs == 0))
+    for s in range(len(signs)):
+        for t in range(s + 1, len(signs)):
+            both = (signs[s] != 0) & (signs[t] != 0)
+            assert np.all(hi[s][both] <= lo[t][both])
+            # Each run is whole: none starts where the one before it ends.
+            assert not np.any((hi[s] == lo[t]) & (signs[s] == signs[t]) & both)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -661,6 +676,132 @@ def test_root_signs_match_random_grids():
         for n in (16, 17, 24, 33, 48):
             for quotient in (False, True):
                 check_root_signs(sample_field(combo, n, quotient))
+
+
+def random_slots(rng, shape, slots):
+    """Slots of ``nodal._root_runs``' form for a grid of ``shape``: per line,
+    ``slots`` intervals in z order of random signs, with zeros between and
+    no two of one sign touching."""
+    sx, sy, sz = shape
+    lines = sx * sy
+    cuts = np.sort(rng.integers(0, sz + 1, (lines, 2 * slots)), axis=1).astype(np.int32)
+    lo, hi = cuts[:, 0::2].T.copy(), cuts[:, 1::2].T.copy()
+    signs = rng.choice(np.array([-1, 0, 1], np.int8), (slots, lines), p=[0.45, 0.1, 0.45])
+    signs *= hi > lo
+    end, sign = np.full(lines, -1), np.zeros(lines, np.int8)
+    for s in range(slots):
+        clash = (signs[s] != 0) & (lo[s] == end) & (signs[s] == sign)
+        signs[s][clash] *= -1
+        end = np.where(signs[s] != 0, hi[s], end)
+        sign = np.where(signs[s] != 0, signs[s], sign)
+    lo[signs == 0], hi[signs == 0] = 0, 0
+    return signs, lo, hi
+
+
+@pytest.mark.parametrize("mirrors", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+def test_slot_labels_match_whole_mask_labels_on_noise(mirrors):
+    # Random slots make many small components and every kind of link: the
+    # counts of nodal._label_slots and its tail against ndimage.label on the
+    # masks painted from the slots, reflected onto the whole grid on each
+    # mirror axis.
+    rng = np.random.default_rng(sum(mirrors) + 10 * mirrors[0])
+    for trial in range(40):
+        shape = tuple(int(size) for size in rng.integers(1 if trial % 4 else 2, 9, 3))
+        slots = 2 + trial % 2
+        signs, lo, hi = random_slots(rng, shape, slots)
+        sx, sy, sz = shape
+        grid = nodal.ScalarGrid(16, shape, np.zeros((1, sx * sy)), np.zeros((1, sz)), mirrors)
+        count = nodal._tally(grid, *nodal._label_slots(grid, signs, lo, hi))
+        whole = []
+        for mask in slot_masks(shape, signs, lo, hi):
+            mask = mask[..., :sz] == 1
+            for axis in (axis for axis in range(3) if mirrors[axis]):
+                image = np.flip(mask, axis).take(range(1, shape[axis]), axis)
+                mask = np.concatenate((mask, image), axis)
+            whole.append(mask)
+        expected = [ndimage.label(mask, structure=FACE_STRUCTURE)[1] for mask in whole]
+        zeros = np.count_nonzero(~(whole[0] | whole[1]))
+        got = (count.positive_components, count.negative_components, count.zero_samples)
+        assert got == (*expected, zeros), (trial, shape, slots)
+
+
+def counted_on_slots(grid, monkeypatch):
+    """The count of ``grid``, asserting that it was labelled on the slots of
+    ``nodal._root_runs`` and not on runs."""
+    labelled = []
+    label_runs = nodal._label_runs
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            nodal, "_label_runs", lambda *args: labelled.append(args) or label_runs(*args)
+        )
+        count = count_components(grid)
+    assert not labelled
+    return count
+
+
+def test_slot_counts_match_sampled_counts(monkeypatch):
+    group = group_at(11)
+    # The first 20 grids of the default verdict's sweep at each resolution it counts.
+    grids = [
+        sample_field(EigenCombo(group, tuple(coeffs)), n, quotient=True)
+        for n in (128, 256)
+        for coeffs in sphere_samples(3, 20, seed=0)
+    ]
+    # The census's rooted grids: (32, 63, 63) antipodal quotients on
+    # z-frequencies {1, 2}, g-odd (eigenvalue 6) and g-even (9).
+    census = [sample_field(random_combos(value, 1, value)[0], 64, True) for value in (6, 9)]
+    assert [grid.shape for grid in census] == [(32, 63, 63)] * 2
+    assert [grid.inversion for grid in census] == [-1, 1]
+    # At odd n the z-axis is whole, and an f = 3 branch is mirrored on it: three slots.
+    odd = sample_field(EigenCombo(group, (0.6, -0.3, 0.74)), 65)
+    signs, _, _ = nodal._root_runs(odd)
+    assert len(signs) == 3 and signs[2].any()
+    for grid in grids + census + [odd]:
+        assert math.prod(grid.shape) >= nodal.ROOT_POINTS
+        count = counted_on_slots(grid, monkeypatch)
+        assert repr(count) == repr(count_components(replace(grid, zfreqs=()))), (grid.n, grid.shape)
+
+
+def python_union(count, pairs):
+    """The least id of each id's class, by a plain union-find."""
+    parent = list(range(count))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [root(x) for x in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_union_matches_a_plain_union_find(seed):
+    rng = np.random.default_rng(seed)
+    for count in (1, 2, 17, 300):
+        for n_pairs in (0, 1, count // 2, count, 3 * count):
+            a, b = rng.integers(0, count, (2, n_pairs))
+            expected = python_union(count, zip(a.tolist(), b.tolist()))
+            assert nodal._union(count, a, b).tolist() == expected, (count, n_pairs)
+
+
+def test_union_of_no_pairs_one_id_and_a_long_chain():
+    none = np.empty(0, np.intp)
+    assert nodal._union(0, none, none).tolist() == []
+    assert nodal._union(5, none, none).tolist() == list(range(5))
+    assert nodal._union(1, np.zeros(1, np.intp), np.zeros(1, np.intp)).tolist() == [0]
+    # A chain through every id, its links in a random order, and in order from
+    # its far end, so that one round hooks each id to the next below it.
+    count = 5000
+    order = np.random.default_rng(0).permutation(count - 1)
+    assert nodal._union(count, order + 1, order).tolist() == [0] * count
+    far = np.arange(count - 1)[::-1]
+    assert nodal._union(count, far + 1, far).tolist() == [0] * count
+    # Two chains, the odd ids and the even ones.
+    ids = np.arange(count - 2)
+    assert nodal._union(count, ids, ids + 2).tolist() == [x % 2 for x in range(count)]
 
 
 def counted_on_samples(grid, monkeypatch):
@@ -715,6 +856,9 @@ def test_an_asymmetric_glue_plane_is_refused():
     sx, sy, sz = 4, 7, 7
     grid = nodal.ScalarGrid(8, (sx, sy, sz), np.ones((1, sx * sy)), np.ones((1, sz)), inversion=1)
     assert count_components(grid) == nodal.NodalCount(1, 0, 0, 8, False)
+    # A g-odd grid maps each run of the row onto one of the other sign.
+    with pytest.raises(ValueError, match="not mapped to itself by g"):
+        count_components(replace(grid, inversion=-1))
     planes = grid.planes.copy()
     planes[0, (sx - 1) * sy] = -1.0  # line j = 1 of the last x-row; its image j = 7 stays positive
     with pytest.raises(ValueError, match="not mapped to itself by g"):

@@ -158,7 +158,12 @@ class ScalarGrid:
         factors = self.planes[:, start * sy : stop * sy].T
         if out is not None:
             out = out[: factors.shape[0] * sz].reshape(-1, sz)
-        return np.matmul(factors, self.zs, out=out).reshape(-1, sy, sz)
+        # One mode is an outer product.  numpy's matmul over an inner dimension
+        # of 1 took 1.1 to 1.9 times as long as np.multiply on 32^3 quotients;
+        # the values are the same, but perhaps the sign of an exact zero, which
+        # no mask reads.
+        product = np.multiply if len(self.planes) == 1 else np.matmul
+        return product(factors, self.zs, out=out).reshape(-1, sy, sz)
 
     @property
     def values(self) -> np.ndarray:
@@ -179,8 +184,10 @@ class NodalCount:
         return self.positive_components + self.negative_components
 
 
+@lru_cache(maxsize=16)
 def _sine_table(n: int) -> np.ndarray:
-    """sin(j pi / n) for j = 0..2n-1 with exact zeros and exact odd symmetry.
+    """sin(j pi / n) for j = 0..2n-1 with exact zeros and exact odd symmetry,
+    read-only, as every caller shares it.
 
     Samples of sin(freq * i pi / n) then reduce to table lookups at
     (freq * i) mod 2n, so multiples of pi evaluate to exactly 0.0 and
@@ -194,6 +201,7 @@ def _sine_table(n: int) -> np.ndarray:
     table[n - half : n + 1] = q[::-1]
     table[n] = 0.0
     table[n + 1 :] = -table[1:n]
+    table.flags.writeable = False
     return table
 
 
@@ -333,12 +341,12 @@ def _sampled_bounds(
 
 @lru_cache(maxsize=16)
 def _branch(n: int, f: int, h: int) -> np.ndarray | None:
-    """r_k = t[f k] / t[k] for k = 1..h, t = ``_sine_table(n)``, between +inf
-    and -inf, so that r before sample i is at i and r at it at i + 1; or
-    None unless r falls by more than 2^-40 from each sample to the next."""
+    """r_k = t[f k] / t[k] for k = 1..h, t = ``_sine_table(n)``, between two
+    NaNs, so that r at sample i (from 0) is at i + 1; or None unless r falls
+    by more than 2^-40 from each sample to the next."""
     table = _sine_table(n)
     k = np.arange(1, h + 1)
-    padded = np.concatenate(([np.inf], table[f * k % (2 * n)] / table[k], [-np.inf]))
+    padded = np.concatenate(([np.nan], table[f * k % (2 * n)] / table[k], [np.nan]))
     padded.flags.writeable = False
     return padded if np.all(np.diff(padded[1:-1]) < -(2.0**-40)) else None
 
@@ -383,7 +391,10 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     and a sample whose computed g_k exceeds eta in size has its sign.  Only
     the two ends of each stretch of one sign on a line's branch are checked,
     which include the samples either side of tau: g is monotone along the
-    branch, so every sample between them lies further from 0.  The sine
+    branch, so every sample between them lies further from 0.  A stretch
+    is clear if g at both its ends exceeds eta, or is below -eta, and its
+    sign is then theirs; r is padded with NaN, which an empty stretch reads
+    at one end, so it is never clear.  The sine
     table's errors do not enter S_k, which is written in its floats; they
     enter only the order of r, and r must fall by more than 2^-40 from each
     sample to the next (the lattice gives at least 4/n^2, the table's
@@ -395,9 +406,11 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     is: on a line with no term of frequency 1 (B1 = 0), at the k with r_k =
     0, the samples with r = tau, as beta and so tau are then 0; and on a line
     whose terms all vanish, whole.  Anywhere else, samples at tau are inside
-    the band.  If a line is neither all zero nor outside the band at each
-    end of each stretch, or the sums could overflow (B1 + 4 Bf >= 2^1000),
-    the grid is sampled.
+    the band.  So a line is settled if it vanishes, or if it has zeros only
+    where B1 = 0 and as many clear stretches as non-empty ones, of opposite
+    signs if there are two: then the two signs differ by as much as there
+    are non-empty stretches.  If a line is not settled, or the sums could
+    overflow (B1 + 4 Bf >= 2^1000), the grid is sampled.
 
     The slots.  A line's runs lie in C fixed slots, C = 2, or 3 where the
     branch is mirrored: [0, a), [b, sz - b') and [sz - a', sz), with a', b'
@@ -408,75 +421,120 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     sign 0, so that it overlaps nothing.  Within a line the slots come in
     the order of z, and two slots of one sign never touch, so each slot of
     a sign is a whole run.
+
+    Every per-line array but the slots is written in place (``out=``) into
+    rows of the count's workspace, so a warm count allocates only the slots.
     """
     freqs = set(grid.zfreqs)
     if not freqs or not (freqs <= {1, 2} or freqs <= {1, 3}):
         return None
     f = 3 if 3 in freqs else 2
-    n, (sx, sy, sz) = grid.n, grid.shape
+    n, (sx, sy, sz), m = grid.n, grid.shape, len(grid.zfreqs)
     # The last ``fold`` samples of a line mirror the first ``fold`` of its branch.
     fold = sz // 2 if f == 3 and not grid.mirrors[2] else 0
     h = sz - fold
     padded = _branch(n, f, h)
     if padded is None:
         return None
-    branch = padded[1:-1]
+    lines = sx * sy
+    # Float rows: beta, alpha, B1, eta, tau, then |P| and later x and the
+    # stretches' ends; then a, b, 16 rows of flags and 8 of small ints.
+    width = max(5 + m, 10)
+    size = 8 * (width + 5) * lines
+    rows = _count_workspace(size, 0)[0][:size].view(np.float64).reshape(-1, lines)
+    tau, x = rows[4:6]
+    a, b = rows[width : width + 2].view(np.intp)
+    flags = rows[width + 2 : width + 4].view(bool).reshape(16, lines)
+    small = rows[width + 4].view(np.int8).reshape(8, lines)
     split = np.array([[z == 1 for z in grid.zfreqs], [z != 1 for z in grid.zfreqs]], float)
-    beta, alpha = split @ grid.planes
-    b1, eta = split @ np.abs(grid.planes)
+    beta, alpha = np.matmul(split, grid.planes, out=rows[:2])
+    b1, eta = np.matmul(split, np.abs(grid.planes, out=rows[5 : 5 + m]), out=rows[2:4])
     eta *= 4.0
     eta += b1
     if not eta.max() < 2.0**1000:
         return None
-    vanish, b1 = eta == 0, b1 == 0  # lines whose every term is 0, or every term of frequency 1
-    eta *= (len(grid.zfreqs) + 4) * 2.0**-50
+    # Lines whose every term is 0, or every term of frequency 1.
+    vanish, b1 = np.equal(eta, 0.0, out=flags[0]), np.equal(b1, 0.0, out=flags[1])
+    eta *= (m + 4) * 2.0**-50
     eta += 2.0**-1000
+    # Where alpha = 0 the branch has one sign, and tau is +-inf, or NaN on a
+    # line whose beta is 0 too, which only one that vanishes can settle.
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Where alpha = 0 the branch has one sign, and tau lies beyond |r| <= 3.
-        tau = np.fmax(np.fmin(-beta / alpha, 4.0), -4.0)
-        x = np.arccos(np.fmin(np.fmax((tau + (2 - f)) * 0.5, -1.0), 1.0))
-        x *= n / ((f - 1) * math.pi)
-        a = np.minimum(x.astype(np.intp), h)
-        del x
-        a += (padded.take(a) > tau) + (padded[1:].take(a) > tau) - 1
-        b = a + (padded[1:].take(a) == tau)
-        del tau
-        # The branch holds [0, a) of the sign of g at its start, [a, b) of
-        # zeros and [b, h) of the sign of g at its end, each checked at both ends.
-        first, last = beta + alpha * branch[0], beta + alpha * branch[-1]
-        head, tail = np.sign(first), np.sign(last)
-        decided = (a == 0) | (
-            (np.abs(first) > eta) & (head * (beta + alpha * padded.take(a)) > eta)
-        )
-        decided &= (b == h) | (
-            (np.abs(last) > eta) & (tail * (beta + alpha * padded.take(b + 1)) > eta)
-        )
-    decided &= ((a == b) | b1) & ((a == 0) | (b == h) | (head != tail))
+        np.divide(beta, alpha, out=tau)
+    np.negative(tau, out=tau)
+    # x guesses a; a NaN tau, which fmax takes for -1, guesses h, and as it
+    # compares false with everything the guess then stays.
+    np.add(tau, 2 - f, out=x)
+    x *= 0.5
+    np.fmax(x, -1.0, out=x)
+    np.fmin(x, 1.0, out=x)
+    np.arccos(x, out=x)
+    x *= n / ((f - 1) * math.pi)
+    np.fmin(x, h, out=x)
+    np.copyto(a, x, casting="unsafe")
+    # The branch holds [0, a) of one sign, [a, b) of zeros and [b, h) of
+    # one sign.  r, and then g, at the ends of each stretch, (end, stretch):
+    # the outer ends, samples 1 and h, then the inner ones, a and b + 1.
+    ends = rows[6:10].reshape(2, 2, lines)
+    inner = ends[1]
+    padded.take(a, out=inner[0], mode="clip")
+    padded[1:].take(a, out=inner[1], mode="clip")
+    # The guess is right unless r at it is <= tau or r after it > tau.
+    below = np.less_equal(inner[0], tau, out=flags[2]).view(np.int8)
+    above = np.greater(inner[1], tau, out=flags[3]).view(np.int8)
+    shift = np.subtract(above, below, out=small[0])
+    if shift.any():
+        a += shift
+        padded.take(a, out=inner[0], mode="clip")
+        padded[1:].take(a, out=inner[1], mode="clip")
+    # b is a unless r after a is tau, which B1 = 0 must allow.
+    on_tau = np.equal(inner[1], tau, out=flags[2])
+    if on_tau.any():
+        if np.any(on_tau > b1):
+            return None
+        b = np.add(a, on_tau, out=b)
+        padded[1:].take(b, out=inner[1], mode="clip")
+    else:
+        b = a
+    ends[0, 0], ends[0, 1] = padded[1], padded[h]
+    ends *= alpha
+    ends += beta
+    # Per sign (v > 0, then v < 0), end and stretch: whether g clears the band.
+    clear = flags[4:12].reshape(2, 2, 2, lines)
+    np.greater(ends, eta, out=clear[0])
+    np.less(ends, np.negative(eta, out=x), out=clear[1])
+    # Each stretch's sign: the one that both its ends clear, or 0.
+    both = np.logical_and(clear[:, 0], clear[:, 1], out=clear[:, 0]).view(np.int8)
+    slots = 3 if fold else 2
+    signs = np.empty((slots, lines), np.int8)
+    np.subtract(both[0], both[1], out=signs[:2])
+    gap = np.abs(np.subtract(signs[0], signs[1], out=small[0]), out=small[0])
+    stretches = np.add(
+        np.greater(a, 0, out=flags[2]).view(np.int8),
+        np.less(b, h, out=flags[3]).view(np.int8),
+        out=small[1],
+    )
+    # A line is settled if its stretches of a sign number its non-empty ones
+    # (of opposite signs if there are two), or if it vanishes.
+    decided = np.equal(gap, stretches, out=flags[2])
     decided |= vanish
-    # Each per-line array goes once read, so that the slots are built under a
-    # traced peak well below a slab of samples.
-    del beta, alpha, eta, b1, vanish, first, last
     if not decided.all():
         return None
     # Per line, the slots [0, a), [b, sz - b') and [sz - a', sz), with a', b'
     # the mirrored parts; a line of one sign is slot 0 alone.
-    slots = 3 if fold else 2
-    signs = np.empty((slots, len(a)), np.int8)
-    signs[0], signs[1] = head, tail
+    bounds = np.empty((2, slots, lines), np.int32)
+    lo, hi = bounds
+    lo[0], hi[0] = 0, a
+    lo[1], hi[1] = b, sz
     if fold:
-        signs[2] = head
-    del head, tail
-    whole = a == h
-    lo, hi = np.empty((2, slots, len(a)), np.int32)
-    lo[0], hi[0] = 0, np.where(whole, sz, a)
-    lo[1], hi[1] = b, sz - np.minimum(b, fold)
-    if fold:
-        lo[2], hi[2] = sz - np.where(whole, 0, np.minimum(a, fold)), sz
-    del a, b, whole
-    np.copyto(signs, 0, where=hi <= lo)
-    empty = signs == 0
-    np.copyto(lo, 0, where=empty)
-    np.copyto(hi, 0, where=empty)
+        whole = np.equal(a, h, out=flags[3])
+        np.copyto(hi[0], sz, where=whole)
+        hi[1] -= np.minimum(b, fold)
+        signs[2] = signs[0]
+        np.copyto(signs[2], 0, where=whole)
+        lo[2], hi[2] = sz - np.minimum(a, fold), sz
+    # A slot of sign 0, empty or on a line that vanishes, is [0, 0).
+    np.copyto(bounds, 0, where=np.equal(signs, 0, out=flags[2 : slots + 2]))
     return signs, lo, hi
 
 
@@ -488,20 +546,23 @@ def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
     return np.concatenate((np.arange(lo, hi), np.arange(lo_, hi_)))
 
 
-# The slab workspace of count_components, two byte buffers: samples, whose
-# bytes then hold the changes of _sampled_bounds, and its marks.  Each is
-# allocated on first use, at least SLAB_POINTS samples' worth, grown when a
-# count needs more, and kept for the life of the process, so every later
-# count reuses its pages instead of allocating (and faulting in) its slabs
-# afresh.  count_components is therefore not reentrant across threads.
-_workspace: tuple[np.ndarray, ...] = ()
+# The workspace of count_components, two byte buffers: samples, whose bytes
+# then hold the changes of _sampled_bounds, and its marks; _root_runs writes
+# its per-line rows into the first.  Each is allocated on first use, at least
+# SLAB_POINTS samples' worth, grown when a count needs more, and kept for the
+# life of the process, so every later count reuses its pages instead of
+# allocating (and faulting in) its slabs afresh.  count_components is
+# therefore not reentrant across threads.
+_workspace: tuple[np.ndarray, ...] = (np.empty(0, np.uint8),) * 2
 
 
-def _slab_workspace(*sizes: int) -> tuple[np.ndarray, ...]:
-    """The workspace, grown first if a buffer holds fewer bytes than ``sizes``."""
+def _count_workspace(samples: int, marks: int) -> tuple[np.ndarray, ...]:
+    """The workspace, each buffer grown first if it holds fewer bytes than asked."""
     global _workspace
-    if len(_workspace) < len(sizes) or any(len(w) < size for w, size in zip(_workspace, sizes)):
-        _workspace = tuple(np.empty(max(size, 8 * SLAB_POINTS), np.uint8) for size in sizes)
+    _workspace = tuple(
+        w if len(w) >= size else np.empty(max(size, 8 * SLAB_POINTS), np.uint8)
+        for w, size in zip(_workspace, (samples, marks))
+    )
     return _workspace
 
 
@@ -535,6 +596,20 @@ def _run_images(lengths: np.ndarray, on_y, on_z, axes: list[int]) -> np.ndarray:
     return lengths
 
 
+def _slot_images(lo: np.ndarray, hi: np.ndarray, sz: int, axes: list[int]) -> int:
+    """The samples of the slots [lo, hi), of shape (C, x-rows, sy), each
+    counted once per image under the y and z mirror ``axes``, as
+    ``_run_images`` counts those of a run, from flat sums."""
+
+    def total(lo: np.ndarray, hi: np.ndarray) -> int:
+        samples = int(hi.sum()) - int(lo.sum())
+        # A slot ending its line has one sample on the z mirror plane.
+        return 2 * samples - int(np.count_nonzero(hi == sz)) if 2 in axes else samples
+
+    # The last line of each x-row lies on the y mirror plane.
+    return 2 * total(lo, hi) - total(lo[..., -1], hi[..., -1]) if 1 in axes else total(lo, hi)
+
+
 def _label_slabs(grid: ScalarGrid) -> tuple:
     """The components of a grid found on its samples, for ``_tally``.
 
@@ -551,7 +626,7 @@ def _label_slabs(grid: ScalarGrid) -> tuple:
     step = max(1, SLAB_POINTS // (sy * sz))
     line, plane = sz + 1, (sy + 1) * (sz + 1)
     layout = 2 * (step + 2) * plane  # the bytes of _sampled_bounds' marks
-    workspace = _slab_workspace(max(8 * step * sy * sz, layout), layout + 1)
+    workspace = _count_workspace(max(8 * step * sy * sz, layout), layout + 1)
     yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
     on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in yz_axes}
     links = [np.empty((2, 0), np.intp)]  # pairs of ids of one component
@@ -593,14 +668,12 @@ def _label_slabs(grid: ScalarGrid) -> tuple:
     )
 
 
-def _slot_links(signs, lo, hi, joined, step: int) -> np.ndarray:
+def _slot_overlaps(signs, lo, hi, step: int) -> np.ndarray:
     """Which slots s of line k and t of line k + step have one sign and
-    overlap in z, as a (C, C, lines - step) mask, less each pair whose two
-    slots are joined to those of the pair one line before (``joined``)."""
+    overlap in z, as a (C, C, lines - step) mask."""
     mask = signs[:, None, :-step] == signs[None, :, step:]
     mask &= lo[:, None, :-step] < hi[None, :, step:]
     mask &= lo[None, :, step:] < hi[:, None, :-step]
-    mask[..., 1:] &= ~(mask[..., :-1] & joined[:, None, 1:-step] & joined[None, :, step + 1 :])
     return mask
 
 
@@ -613,17 +686,18 @@ def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
     slots are numbered in the order of their first slots, the heads, and as
     a chain's slots lie one after the other, a slot's chain is the last head
     at or before it (``searchsorted``).  The other links are the overlaps of
-    any two slots of one sign in neighbouring lines (``_slot_links``):
+    any two slots of one sign in neighbouring lines (``_slot_overlaps``):
     across slots between y-neighbours, and between x-neighbours.  A link
     that continues the link one line before it along both of its chains is
-    dropped.  The zeros are the samples in no slot, from the slots' lengths.
+    dropped.  The zeros are the samples in no slot, from flat sums of the
+    slots' bounds.
     """
     sx, sy, sz = grid.shape
     slots, lines = signs.shape
+    # A slot and the same slot of the next line: the diagonal of the y overlaps.
+    along_y = _slot_overlaps(signs, lo, hi, 1)
     joined = np.zeros((slots, lines), bool)
-    np.equal(signs[:, 1:], signs[:, :-1], out=joined[:, 1:])
-    joined[:, 1:] &= lo[:, 1:] < hi[:, :-1]
-    joined[:, 1:] &= lo[:, :-1] < hi[:, 1:]
+    joined[:, 1:] = np.diagonal(along_y).T
     joined[:, ::sy] = False
     heads = np.flatnonzero((signs != 0) & ~joined)
 
@@ -633,12 +707,14 @@ def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
 
     links = [np.empty((2, 0), np.intp)]
     for axis, step in ((1, 1), (0, sy)):
-        mask = _slot_links(signs, lo, hi, joined, step)
+        mask = along_y if axis == 1 else _slot_overlaps(signs, lo, hi, step)
+        # Less each link whose two slots are joined to those of the link one line before.
+        mask[..., 1:] &= ~(mask[..., :-1] & joined[:, None, 1:-step] & joined[None, :, step + 1 :])
         if axis == 1:
             mask[np.arange(slots), np.arange(slots)] = False  # one slot's links are its chain
             mask[..., sy - 1 :: sy] = False  # line j = sy-1 has no y-neighbour in its x-row
         s, t, k = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        links.append(np.stack((chains(s * lines + k), chains(t * lines + k + step))))
+        links.append(chains(np.stack((s * lines + k, t * lines + k + step))))
     yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
     on_planes = {}
     if 1 in yz_axes:
@@ -648,9 +724,7 @@ def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
         # A slot of sign 0 ends at 0, so the stretch from one head to the next
         # finds sz only among the slots of the first head's chain.
         on_planes[2] = np.logical_or.reduceat(hi.ravel() == sz, heads).nonzero()[0]
-    lengths = (hi - lo).reshape(slots, sx, sy)
-    on_z = (hi == sz).reshape(lengths.shape)
-    images = _run_images(lengths, np.arange(sy) == sy - 1, on_z, yz_axes)
+    lo, hi = lo.reshape(slots, sx, sy), hi.reshape(slots, sx, sy)
     # The last x-row's slots, line by line and so in the order of z, v > 0 first.
     row = signs[:, lines - sy :].T.ravel()
     at = np.concatenate(((row > 0).nonzero()[0], (row < 0).nonzero()[0]))
@@ -662,8 +736,8 @@ def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
         np.concatenate(links, axis=1),
         on_planes,
         (j + lo.take(k), j + hi.take(k), chains(k)),
-        _images((sx, sy, sz), yz_axes) - int(images.sum()),
-        _images((1, sy, sz), yz_axes) - int(images[:, -1].sum()),
+        _images((sx, sy, sz), yz_axes) - _slot_images(lo, hi, sz, yz_axes),
+        _images((1, sy, sz), yz_axes) - _slot_images(lo[:, -1:], hi[:, -1:], sz, yz_axes),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import platform
 import subprocess
@@ -360,6 +361,32 @@ def test_rows_into_a_buffer_are_bitwise_the_same():
         assert np.array_equal(rows, grid.rows(start, stop))
 
 
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_rows_of_one_mode_are_the_matmuls_values(n):
+    # One mode's samples are an outer product (np.multiply), not a matmul
+    # over an inner dimension of 1.  The values must be equal, and so must
+    # both masks; only the sign of an exact zero may differ.
+    for mode in ((1, 1, 1), (2, 1, 3), (2, 2, 2), (3, 4, 1)):
+        for quotient in (False, True):
+            grid = sample_field(pure_combo(*mode), n, quotient)
+            assert len(grid.planes) == 1
+            sy = grid.shape[1]
+            for start, stop in [(0, grid.shape[0]), (1, 3)]:
+                rows = grid.rows(start, stop)
+                expected = np.matmul(grid.planes[:, start * sy : stop * sy].T, grid.zs)
+                expected = expected.reshape(rows.shape)
+                assert np.array_equal(rows, expected), (mode, quotient)
+                assert np.array_equal(rows > 0, expected > 0), (mode, quotient)
+                assert np.array_equal(rows < 0, expected < 0), (mode, quotient)
+
+
+def test_the_sine_table_is_shared_and_read_only():
+    table = nodal._sine_table(24)
+    assert nodal._sine_table(24) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[1] = 0.0
+
+
 def per_mode_factors(combo, grid):
     """``grid``'s factors built one active mode at a time, the way sample_field once did."""
     n = grid.n
@@ -663,12 +690,25 @@ def check_root_signs(grid):
             assert not np.any((hi[s] == lo[t]) & (signs[s] == signs[t]) & both)
 
 
+# SHA-256 of the bytes of (signs, lo, hi) of each of the grids below, in
+# turn, as nodal._root_runs found them when they were first pinned.
+ROOT_SLOT_DIGESTS = {
+    128: "9ce6b0e009c3b69ab7abac97c0389426d6b633505eae813c59878ade39a935a6",
+    256: "8d845dc0e5429bce308e011c7d8b20966d417a0f12b629ba830ed117790de4b6",
+}
+
+
 @pytest.mark.parametrize("n", [128, 256])
 def test_root_signs_match_the_default_sweep(n):
     # The first 20 grids of the default verdict's sweep at each resolution it counts.
     group = group_at(11)
+    digest = hashlib.sha256()
     for coeffs in sphere_samples(3, 20, seed=0):
-        check_root_signs(sample_field(EigenCombo(group, tuple(coeffs)), n, quotient=True))
+        grid = sample_field(EigenCombo(group, tuple(coeffs)), n, quotient=True)
+        check_root_signs(grid)
+        for slots in nodal._root_runs(grid):
+            digest.update(slots.tobytes())
+    assert digest.hexdigest() == ROOT_SLOT_DIGESTS[n]
 
 
 def test_root_signs_match_random_grids():
@@ -910,7 +950,9 @@ def test_a_warm_count_allocates_no_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < nodal.SLAB_POINTS * 8, peak
+    # 580 KiB measured, most of it the slots and _label_slots' masks; a
+    # third more allows for numpy's own temporaries.
+    assert peak < 768 * 1024, peak
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")

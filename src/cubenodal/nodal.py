@@ -12,9 +12,10 @@ are the samples in no run.
 
 The runs come from one of two sources.  If every active mode's z-frequency
 lies in {1, 2} or in {1, 3}, as for eigenvalue 11, then sin 2z = 2 sin z cos z
-and sin 3z = sin z (4cos^2 z - 1) give each z-line a closed form with at most
-one sign change per monotone branch of cos z.  Each line's runs then lie in
-two or three fixed slots cut at its roots, with no sample evaluated
+and sin 3z = sin z (4cos^2 z - 1) give each z-line a closed form.  It changes
+sign at most once where 2 cos z or 4cos^2 z - 1 falls: on a whole z-axis for
+{1, 2}, on the z-quotient for {1, 3}.  On such an axis each line's runs then
+lie in two fixed slots cut at its root, with no sample evaluated
 (``_root_runs``), and the grid is labelled on those slots at once
 (``_label_slots``).  That holds only where a rounding bound proves every
 sample's sign; otherwise, and for every other grid, the runs are found on
@@ -364,17 +365,15 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     ``planes`` of frequency 1, and alpha those of the others.  The sample at
     k is the matmul's rounding of S_k = t[k] (beta + alpha r_k), exactly,
     with t[k] > 0, so it has the sign of g_k = beta + alpha r_k once g_k
-    clears the band below.  r falls along z (2 cos z on (0, pi), 4cos^2 z - 1
-    on (0, pi/2]), except for f = 3 on a whole z-axis (odd n, or a grid that
-    is no quotient), where r_(sz+1-k) = r_k bitwise, as the table is exactly
-    symmetric, and only the first half, which falls, is searched.  On that
-    branch g is monotone and changes sign at most once, at tau = -beta /
-    alpha, so a line holds at most two runs, or three when its branch is
-    mirrored.  Per line, a and b count the samples of the branch with
-    r > tau and with r >= tau.  As r is (f - 2) + 2 cos((f - 1) z) but for
-    rounding, arccos guesses a to within a sample, and a comparison either
-    side against r itself puts it right (a guess further out would only fail
-    the checks below).
+    clears the band below.  r must fall along z, as 2 cos z does on (0, pi)
+    and 4cos^2 z - 1 on (0, pi/2], the z-quotient; for f = 3 on a whole
+    z-axis it does not (``_branch`` is None), and the grid is sampled.  So g
+    is monotone along the line and changes sign at most once, at tau = -beta
+    / alpha, and a line holds at most two runs.  Per line, a and b count the
+    samples with r > tau and with r >= tau.  As r is (f - 2) + 2 cos((f - 1)
+    z) but for rounding, arccos guesses a to within a sample, and a
+    comparison either side against r itself puts it right (a guess further
+    out would only fail the checks below).
 
     The rounding band.  With M active modes, u = 2^-53, and B1 and Bf the
     sums of |P_m| over frequency 1 and over the others: any order of the
@@ -389,18 +388,17 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
         eta = (M + 4) 2^-50 (B1 + 4 Bf) + 2^-1000,
 
     and a sample whose computed g_k exceeds eta in size has its sign.  Only
-    the two ends of each stretch of one sign on a line's branch are checked,
-    which include the samples either side of tau: g is monotone along the
-    branch, so every sample between them lies further from 0.  A stretch
-    is clear if g at both its ends exceeds eta, or is below -eta, and its
-    sign is then theirs; r is padded with NaN, which an empty stretch reads
-    at one end, so it is never clear.  The sine
-    table's errors do not enter S_k, which is written in its floats; they
-    enter only the order of r, and r must fall by more than 2^-40 from each
-    sample to the next (the lattice gives at least 4/n^2, the table's
-    rounding a few ulps).  Where sin 3z or sin 2z is 0 on the lattice (z =
-    pi/3, 2pi/3, or pi/2), t[f k] and so r_k are exactly 0, and the (4c^2 -
-    1) term of the sample is exactly 0 too.
+    the two ends of each stretch of one sign on a line are checked, which
+    include the samples either side of tau: g is monotone along the line, so
+    every sample between them lies further from 0.  A stretch is clear if g
+    at both its ends exceeds eta, or is below -eta, and its sign is then
+    theirs; r is padded with NaN, which an empty stretch reads at one end,
+    so it is never clear.  The sine table's errors do not enter S_k, which
+    is written in its floats; they enter only the order of r, and r must
+    fall by more than 2^-40 from each sample to the next (the lattice gives
+    at least 4/n^2, the table's rounding a few ulps).  Where sin 3z or sin
+    2z is 0 on the lattice (z = pi/3 or pi/2), t[f k] and so r_k are
+    exactly 0, and the (4c^2 - 1) term of the sample is exactly 0 too.
 
     Exact zeros.  A sample comes out exactly 0 only where every active term
     is: on a line with no term of frequency 1 (B1 = 0), at the k with r_k =
@@ -412,15 +410,13 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     are non-empty stretches.  If a line is not settled, or the sums could
     overflow (B1 + 4 Bf >= 2^1000), the grid is sampled.
 
-    The slots.  A line's runs lie in C fixed slots, C = 2, or 3 where the
-    branch is mirrored: [0, a), [b, sz - b') and [sz - a', sz), with a', b'
-    the mirrored parts of a and b, and a line of one sign is slot 0 alone.
-    Returns ``signs`` (int8), ``lo`` and ``hi``, each of shape (C, sx sy),
-    line (i, j) at i sy + j: each slot's sign, 0 if it holds no sample of
-    either sign, and its z-interval [lo, hi), which is [0, 0) for a slot of
-    sign 0, so that it overlaps nothing.  Within a line the slots come in
-    the order of z, and two slots of one sign never touch, so each slot of
-    a sign is a whole run.
+    The slots.  A line's runs lie in two fixed slots, [0, a) and [b, sz),
+    and a line of one sign is slot 0 alone.  Returns ``signs`` (int8),
+    ``lo`` and ``hi``, each of shape (2, sx sy), line (i, j) at i sy + j:
+    each slot's sign, 0 if it holds no sample of either sign, and its
+    z-interval [lo, hi), which is [0, 0) for a slot of sign 0, so that it
+    overlaps nothing.  The two slots come in the order of z, and two slots
+    of one sign never touch, so each slot of a sign is a whole run.
 
     Every per-line array but the slots is written in place (``out=``) into
     rows of the count's workspace, so a warm count allocates only the slots.
@@ -430,10 +426,7 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
         return None
     f = 3 if 3 in freqs else 2
     n, (sx, sy, sz), m = grid.n, grid.shape, len(grid.zfreqs)
-    # The last ``fold`` samples of a line mirror the first ``fold`` of its branch.
-    fold = sz // 2 if f == 3 and not grid.mirrors[2] else 0
-    h = sz - fold
-    padded = _branch(n, f, h)
+    padded = _branch(n, f, sz)
     if padded is None:
         return None
     lines = sx * sy
@@ -457,12 +450,12 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     vanish, b1 = np.equal(eta, 0.0, out=flags[0]), np.equal(b1, 0.0, out=flags[1])
     eta *= (m + 4) * 2.0**-50
     eta += 2.0**-1000
-    # Where alpha = 0 the branch has one sign, and tau is +-inf, or NaN on a
+    # Where alpha = 0 the line has one sign, and tau is +-inf, or NaN on a
     # line whose beta is 0 too, which only one that vanishes can settle.
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(beta, alpha, out=tau)
     np.negative(tau, out=tau)
-    # x guesses a; a NaN tau, which fmax takes for -1, guesses h, and as it
+    # x guesses a; a NaN tau, which fmax takes for -1, guesses sz, and as it
     # compares false with everything the guess then stays.
     np.add(tau, 2 - f, out=x)
     x *= 0.5
@@ -470,11 +463,11 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     np.fmin(x, 1.0, out=x)
     np.arccos(x, out=x)
     x *= n / ((f - 1) * math.pi)
-    np.fmin(x, h, out=x)
+    np.fmin(x, sz, out=x)
     np.copyto(a, x, casting="unsafe")
-    # The branch holds [0, a) of one sign, [a, b) of zeros and [b, h) of
+    # The line holds [0, a) of one sign, [a, b) of zeros and [b, sz) of
     # one sign.  r, and then g, at the ends of each stretch, (end, stretch):
-    # the outer ends, samples 1 and h, then the inner ones, a and b + 1.
+    # the outer ends, samples 1 and sz, then the inner ones, a and b + 1.
     ends = rows[6:10].reshape(2, 2, lines)
     inner = ends[1]
     padded.take(a, out=inner[0], mode="clip")
@@ -496,7 +489,7 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
         padded[1:].take(b, out=inner[1], mode="clip")
     else:
         b = a
-    ends[0, 0], ends[0, 1] = padded[1], padded[h]
+    ends[0, 0], ends[0, 1] = padded[1], padded[sz]
     ends *= alpha
     ends += beta
     # Per sign (v > 0, then v < 0), end and stretch: whether g clears the band.
@@ -505,13 +498,11 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     np.less(ends, np.negative(eta, out=x), out=clear[1])
     # Each stretch's sign: the one that both its ends clear, or 0.
     both = np.logical_and(clear[:, 0], clear[:, 1], out=clear[:, 0]).view(np.int8)
-    slots = 3 if fold else 2
-    signs = np.empty((slots, lines), np.int8)
-    np.subtract(both[0], both[1], out=signs[:2])
+    signs = both[0] - both[1]
     gap = np.abs(np.subtract(signs[0], signs[1], out=small[0]), out=small[0])
     stretches = np.add(
         np.greater(a, 0, out=flags[2]).view(np.int8),
-        np.less(b, h, out=flags[3]).view(np.int8),
+        np.less(b, sz, out=flags[3]).view(np.int8),
         out=small[1],
     )
     # A line is settled if its stretches of a sign number its non-empty ones
@@ -520,21 +511,13 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     decided |= vanish
     if not decided.all():
         return None
-    # Per line, the slots [0, a), [b, sz - b') and [sz - a', sz), with a', b'
-    # the mirrored parts; a line of one sign is slot 0 alone.
-    bounds = np.empty((2, slots, lines), np.int32)
+    # Per line, the slots [0, a) and [b, sz); a line of one sign is slot 0 alone.
+    bounds = np.empty((2, 2, lines), np.int32)
     lo, hi = bounds
     lo[0], hi[0] = 0, a
     lo[1], hi[1] = b, sz
-    if fold:
-        whole = np.equal(a, h, out=flags[3])
-        np.copyto(hi[0], sz, where=whole)
-        hi[1] -= np.minimum(b, fold)
-        signs[2] = signs[0]
-        np.copyto(signs[2], 0, where=whole)
-        lo[2], hi[2] = sz - np.minimum(a, fold), sz
     # A slot of sign 0, empty or on a line that vanishes, is [0, 0).
-    np.copyto(bounds, 0, where=np.equal(signs, 0, out=flags[2 : slots + 2]))
+    np.copyto(bounds, 0, where=np.equal(signs, 0, out=flags[2:4]))
     return signs, lo, hi
 
 
@@ -681,6 +664,8 @@ def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
     """The components of a grid whose runs lie in the slots of ``_root_runs``,
     for ``_tally``.
 
+    ``_root_runs`` gives two slots per line, but ``signs``, ``lo`` and
+    ``hi`` may hold any number C, of shape (C, sx sy), in z order per line.
     A slot of one line is joined to the same slot of the next line of its
     x-row if the two have one sign and overlap in z.  The chains of joined
     slots are numbered in the order of their first slots, the heads, and as

@@ -616,12 +616,19 @@ def root_combos(count, seed):
 ROOT_COMBOS = root_combos(24, 21) + [pure_combo(*mode) for mode in ((1, 1, 2), (2, 1, 2), (1, 1, 3))]
 
 
+def rootless(grid):
+    """Whether the z-lines of ``grid`` have no closed form with one sign
+    change: z-frequency 3 on a whole z-axis, where 4cos^2 z - 1 turns."""
+    return 3 in grid.zfreqs and not grid.mirrors[2]
+
+
 def test_counts_match_whole_grid_labels(monkeypatch):
     # An oracle independent of the kernel: ndimage.label on the whole grid's
     # samples, against counts on whole grids, mirror quotients and antipodal
     # quotients, in one slab and with one x-row per slab.  The grids of
     # ROOT_COMBOS are counted on the slots of their z-lines' closed form,
-    # with one threshold per line on a quotient's z-axis and two at odd n.
+    # with one threshold per line, but those of z-frequency 3 on a whole
+    # z-axis (odd n, or no quotient), which are counted on their samples.
     monkeypatch.setattr(nodal, "ROOT_POINTS", 0)
     grids, expected = [], []
     for combo in ORACLE_COMBOS + ROOT_COMBOS:
@@ -635,7 +642,8 @@ def test_counts_match_whole_grid_labels(monkeypatch):
                 grids.append(sample_field(combo, n, quotient))
                 expected.append((*signs, np.count_nonzero(values == 0)))
                 if combo in ROOT_COMBOS:
-                    assert nodal._root_runs(grids[-1]) is not None, (combo.coeffs, n, quotient)
+                    rooted = nodal._root_runs(grids[-1]) is not None
+                    assert rooted != rootless(grids[-1]), (combo.coeffs, n, quotient)
     classes = {(grid.mirrors, grid.inversion) for grid in grids}
     assert {
         ((0, 0, 0), 0), ((0, 0, 0), 1), ((0, 0, 0), -1), ((1, 1, 1), 0), ((-1, -1, -1), 0),
@@ -678,7 +686,7 @@ def check_root_signs(grid):
         assert not painted_mask[..., sz].any()
         assert np.array_equal(painted_mask[..., :sz], mask)
     signs, lo, hi = nodal._root_runs(grid)
-    assert signs.shape == lo.shape == hi.shape == (len(signs), sx * sy)
+    assert signs.shape == lo.shape == hi.shape == (2, sx * sy)
     # A slot of sign 0 overlaps nothing; the others lie in z order.
     assert np.all(lo[signs == 0] == 0) and np.all(hi[signs == 0] == 0)
     assert np.all((0 <= lo) & (lo < hi) & (hi <= sz) | (signs == 0))
@@ -715,7 +723,20 @@ def test_root_signs_match_random_grids():
     for combo in root_combos(40, 23):
         for n in (16, 17, 24, 33, 48):
             for quotient in (False, True):
-                check_root_signs(sample_field(combo, n, quotient))
+                grid = sample_field(combo, n, quotient)
+                if rootless(grid):
+                    assert nodal._root_runs(grid) is None, (combo.coeffs, n, quotient)
+                else:
+                    check_root_signs(grid)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 256])
+def test_the_branch_must_fall(n):
+    # 4cos^2 z - 1 turns at z = pi/2: it falls on the z-quotient but not on a
+    # whole axis; 2 cos z falls on the whole axis.
+    assert nodal._branch(n, 3, n - 1) is None
+    assert nodal._branch(n, 3, n // 2) is not None
+    assert nodal._branch(n, 2, n - 1) is not None
 
 
 def random_slots(rng, shape, slots):
@@ -792,11 +813,13 @@ def test_slot_counts_match_sampled_counts(monkeypatch):
     census = [sample_field(random_combos(value, 1, value)[0], 64, True) for value in (6, 9)]
     assert [grid.shape for grid in census] == [(32, 63, 63)] * 2
     assert [grid.inversion for grid in census] == [-1, 1]
-    # At odd n the z-axis is whole, and an f = 3 branch is mirrored on it: three slots.
+    # At odd n the z-axis is whole, where 4cos^2 z - 1 turns: no slots.
     odd = sample_field(EigenCombo(group, (0.6, -0.3, 0.74)), 65)
-    signs, _, _ = nodal._root_runs(odd)
-    assert len(signs) == 3 and signs[2].any()
-    for grid in grids + census + [odd]:
+    assert nodal._root_runs(odd) is None
+    count, values = count_components(odd), odd.values
+    expected = [ndimage.label(mask, FACE_STRUCTURE)[1] for mask in (values > 0, values < 0)]
+    assert [count.positive_components, count.negative_components] == expected
+    for grid in grids + census:
         assert math.prod(grid.shape) >= nodal.ROOT_POINTS
         count = counted_on_slots(grid, monkeypatch)
         assert repr(count) == repr(count_components(replace(grid, zfreqs=()))), (grid.n, grid.shape)
@@ -957,10 +980,10 @@ def test_a_warm_count_allocates_no_slab():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
 def test_a_warm_count_faults_few_pages():
-    # The slab workspace frees one large block when it is first built, which
-    # raises glibc's mmap threshold; then a count's run-sized temporaries come
-    # from the heap's pages instead of fresh mmapped ones.  In a fresh process,
-    # so that nothing else has raised the threshold.
+    # A process's first count frees one large block, which raises glibc's
+    # mmap threshold; then a count's run-sized temporaries come from the
+    # heap's pages instead of fresh mmapped ones.  In a fresh process, so
+    # that nothing else has raised the threshold.
     code = (
         "import resource\n"
         "from cubenodal import CUBE, EigenCombo, count_components, enumerate_groups, sample_field\n"

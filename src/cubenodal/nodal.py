@@ -10,19 +10,19 @@ eigenfunction are open, and zeros land exactly on lattice-aligned nodal
 planes, so assigning them to either side would corrupt counts.  The zeros
 are the samples in no run.
 
-The runs come from one of two sources.  If every active mode's z-frequency
-lies in {1, 2} or in {1, 3}, as for eigenvalue 11, then sin 2z = 2 sin z cos z
-and sin 3z = sin z (4cos^2 z - 1) give each z-line a closed form.  It changes
-sign at most once where 2 cos z or 4cos^2 z - 1 falls: on a whole z-axis for
-{1, 2}, on the z-quotient for {1, 3}.  On such an axis each line's runs then
-lie in two fixed slots cut at its root, with no sample evaluated
-(``_root_runs``), and the grid is labelled on those slots at once
-(``_label_slots``).  That holds only where a rounding bound proves every
-sample's sign; otherwise, and for every other grid, the runs are found on
-the samples, a slab of x-rows at a time, and labelled per slab
-(``_label_slabs``).  Either way the labels keep their ids for the whole
-count, and one union-find merges the links, the pairs across slab faces and
-the antipodal glue.
+Each line's runs lie in slots, C per line in z order, and one labeller
+(``_label_slots``) takes the whole grid's slots at once.  sin fz = sin z
+U_(f-1)(cos z), so a z-line is sin z times a polynomial of degree f - 1 in
+cos z, f the largest z-frequency, and holds at most f runs.  The slots come
+from one of two sources.  If every active mode's z-frequency lies in {1, 2}
+or in {1, 3}, as for eigenvalue 11, the line changes sign at most once, where
+2 cos z or 4cos^2 z - 1 falls: on a whole z-axis for {1, 2}, on the
+z-quotient for {1, 3}.  On such an axis each line's runs then lie in two
+fixed slots cut at its root, with no sample evaluated (``_root_runs``).  That
+holds only where a rounding bound proves every sample's sign; otherwise, and
+for every other grid, the runs are found on the samples, a slab of x-rows at
+a time (``_sampled_slots``), and C is the most runs on any line, as rounding
+can split a run.  One union-find merges the links and the antipodal glue.
 
 A count is trusted once it is stable under one resolution doubling; on
 disagreement the resolution keeps doubling up to a cap, and the final result
@@ -74,12 +74,11 @@ RESOLUTION_CAP = 512
 # Samples evaluated at once by count_components: 2 MiB of float64.
 SLAB_POINTS = 1 << 18
 # Grids of fewer samples are counted on their samples even where their
-# z-lines have a closed form (_root_runs): its fixed cost of about a hundred
-# numpy calls is more than their samples cost.  On a 2-vCPU machine, with
-# the slot labeller, 16^3 quotients counted 30 to 120 us slower on roots,
-# 32^3 ones 27 to 62 us faster, 32 x 63^2 ones 290 to 395 us faster and 64^3
-# ones 0.9 to 1.0 ms faster.  Lowering this to 2^15 read the census-48
-# counts 2.9% slower and 0.6% faster in two runs, so it stays.
+# z-lines have a closed form (_root_runs): its fixed cost is more than their
+# samples cost.  Both kinds of slots go to one labeller; on a 2-vCPU
+# machine, closed-form quotients of product modes counted 10 to 61 us slower
+# on roots at 16^3, from 149 us faster to 28 us slower at 32^3, and 0.76 to
+# 0.98 ms faster at 64^3; random (32, 63, 63) ones 172 to 226 us faster.
 ROOT_POINTS = 1 << 16
 
 
@@ -267,79 +266,6 @@ def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _label_runs(
-    bounds: np.ndarray, shape: tuple[int, int, int], base: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """The face-connected components of the runs of a slab of ``shape`` (sx,
-    sy, sz): stretches of one sign along z in one line.
-
-    The runs lie in a byte layout (2, sx+2, sy+1, sz+1), a half per sign
-    (v > 0 first), with zeros at z index 0 and y index sy.  X-row 0 of each
-    half holds the previous slab's last x-row (zeros for the first slab),
-    x-rows 1..sx the slab, and x-row sx+1 zeros.  ``bounds`` holds each
-    run's start and end in the layout, the positions before its first sample
-    and of its last, in order, and then the position before the layout's
-    end.  A position's face neighbours lie ``line`` and ``plane`` on, and
-    the zeros keep them off other x-rows, signs and slabs.  Two runs are
-    linked if one overlaps the other shifted by such a step; one of the two
-    is the first run the other overlaps in its line, so one ``searchsorted``
-    per step, forward and back, finds every link, and ``_union`` merges the
-    links.
-
-    Returns each run's start and end, each run's component, numbered on
-    from ``base`` in the order of their first runs (so those of v > 0 come
-    first), and the number of components of each sign.
-    """
-    sx, sy, sz = shape
-    line = sz + 1
-    plane = (sy + 1) * line
-    starts, ends = bounds[0::2], bounds[1::2]
-    n = len(ends)
-    steps = np.array((line, plane, -line, -plane))[:, None]
-    near = ends.searchsorted(starts[:n] + steps, "right")
-    linked = np.flatnonzero(starts[near] < ends + steps)
-    labels = _union(n, near.take(linked), linked % max(n, 1))
-    root = labels == np.arange(n)
-    split = int(starts.searchsorted((sx + 2) * plane))  # the runs of v > 0 come first
-    ids = np.cumsum(root)[labels]
-    ids += base - 1
-    return starts[:n], ends, ids, (
-        int(np.count_nonzero(root[:split])), int(np.count_nonzero(root[split:]))
-    )
-
-
-def _sampled_bounds(
-    grid: ScalarGrid, step: int, samples: np.ndarray, marks: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """The run bounds of x-rows start..stop-1 in the layout of ``_label_runs``,
-    found on their samples.
-
-    The samples go into the bytes ``samples``, and the masks v > 0 and
-    v < 0 into the layout in the bytes ``marks``, with one mark after its
-    end.  X-row 0 of each half is x-row ``step`` of the layout still in
-    ``marks``, the previous slab's last (zeros if ``start`` is 0).  A run of
-    marks is then a run of one sign along z in one line, and its bounds are
-    where the marks change, found in the spent samples' bytes.
-    """
-    v = grid.rows(start, stop, out=samples.view(np.float64))
-    sx, sy, sz = v.shape
-    line = sz + 1
-    plane = (sy + 1) * line
-    half = (sx + 2) * plane
-    carry = step if start else 0
-    previous = marks[: 2 * (carry + 2) * plane].reshape(2, carry + 2, sy + 1, line)
-    layout = marks[: 2 * half].reshape(2, sx + 2, sy + 1, line)
-    layout[:, 0] = previous[:, carry] if carry else False
-    layout[:, 1:] = False
-    masks = layout[:, 1 : sx + 1, :sy, 1:]
-    np.greater(v, 0.0, out=masks[0])
-    np.less(v, 0.0, out=masks[1])
-    marks[2 * half] = True
-    changes = samples[: 2 * half].view(bool)
-    np.not_equal(marks[1 : 2 * half + 1], marks[: 2 * half], out=changes)
-    return np.flatnonzero(changes)
-
-
 @lru_cache(maxsize=16)
 def _branch(n: int, f: int, h: int) -> np.ndarray | None:
     """r_k = t[f k] / t[k] for k = 1..h, t = ``_sine_table(n)``, between two
@@ -521,21 +447,65 @@ def _root_runs(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     return signs, lo, hi
 
 
-def _row_runs(starts: np.ndarray, x: int, half: int, plane: int) -> np.ndarray:
-    """The indices of the runs in x-row ``x`` of a layout of ``_label_runs``,
-    those of v > 0 first, given the runs' ``starts``."""
-    row = x * plane
-    lo, hi, lo_, hi_ = starts.searchsorted((row, row + plane, half + row, half + row + plane))
-    return np.concatenate((np.arange(lo, hi), np.arange(lo_, hi_)))
+def _sampled_slots(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slots that hold the runs of every z-line of the grid, found on its
+    samples: the form of ``_root_runs``, with C slots a line, C the most runs
+    on any line.
+
+    The grid is evaluated in slabs of at most ``SLAB_POINTS`` samples, or one
+    x-row if that is larger, into one workspace that every count reuses.  A
+    slab's signs go into the bytes ``marks`` between two 0s, and the spent
+    samples' bytes then mark the changes: p if sample p differs in sign from
+    sample p - 1, and every start of a line.  A change starts a run at p if
+    sample p is not 0, and the run ends at the next change.  A run's rank in
+    its line is its index less that of its line's first run
+    (``searchsorted``).
+    """
+    sx, sy, sz = grid.shape
+    lines = sx * sy
+    step = max(1, SLAB_POINTS // (sy * sz))
+    samples, marks = _count_workspace(8 * step * sy * sz, 2 * step * sy * sz + 2)
+    runs = []
+    for start in range(0, sx, step):
+        rows = min(step, sx - start)
+        size = rows * sy * sz
+        v = grid.rows(start, start + rows, out=samples.view(np.float64)).reshape(-1)
+        signs = marks[: size + 2].view(np.int8)
+        signs[0] = signs[-1] = 0
+        inner = signs[1:-1]
+        np.greater(v, 0.0, out=inner.view(bool))
+        inner -= np.less(v, 0.0, out=marks[size + 2 : 2 * size + 2].view(bool)).view(np.int8)
+        changes = np.not_equal(signs[1:], signs[:-1], out=samples[: size + 1].view(bool))
+        changes[sz:size:sz] = True
+        at = np.flatnonzero(changes)
+        after = signs[1:].take(at)
+        begins = after != 0
+        first, ends = at[begins], at[1:][begins[:-1]]
+        line, lo = np.divmod(first, sz)
+        # The flat index of each run's slot in (C, lines): its rank, then its line.
+        key = np.arange(len(first)) - first.searchsorted(first - lo)
+        key *= lines
+        key += line
+        key += start * sy
+        ends -= first
+        ends += lo
+        runs.append((key, after[begins], lo, ends))
+    slots = np.zeros((1 + max(int(key.max(initial=0)) for key, *_ in runs) // lines, lines), np.int8)
+    bounds = np.zeros((2, *slots.shape), np.int32)
+    for key, sign, lo, hi in runs:
+        slots.put(key, sign)
+        bounds[0].put(key, lo)
+        bounds[1].put(key, hi)
+    return slots, *bounds
 
 
 # The workspace of count_components, two byte buffers: samples, whose bytes
-# then hold the changes of _sampled_bounds, and its marks; _root_runs writes
-# its per-line rows into the first.  Each is allocated on first use, at least
-# SLAB_POINTS samples' worth, grown when a count needs more, and kept for the
-# life of the process, so every later count reuses its pages instead of
-# allocating (and faulting in) its slabs afresh.  count_components is
-# therefore not reentrant across threads.
+# then hold the changes of _sampled_slots, and marks, its signs and one mask;
+# _root_runs writes its per-line rows into the first.  Each is allocated on
+# first use, at least SLAB_POINTS samples' worth, grown when a count needs
+# more, and kept for the life of the process, so every later count reuses
+# its pages instead of allocating (and faulting in) its slabs afresh.
+# count_components is therefore not reentrant across threads.
 _workspace: tuple[np.ndarray, ...] = (np.empty(0, np.uint8),) * 2
 
 
@@ -567,218 +537,141 @@ def _images(shape: tuple[int, ...], axes: list[int]) -> int:
     return math.prod(2 * size - 1 if axis in axes else size for axis, size in enumerate(shape))
 
 
-def _run_images(lengths: np.ndarray, on_y, on_z, axes: list[int]) -> np.ndarray:
-    """Each run's samples, each counted once per image under the y and z
-    mirror ``axes``, as ``_images`` counts them: ``on_y`` marks the runs in
-    the last line of an x-row, and ``on_z`` those that end their line, one
-    sample of which lies on the z mirror plane."""
-    if 2 in axes:
-        lengths = 2 * lengths - on_z
-    if 1 in axes:
-        lengths = lengths * (2 - on_y)
-    return lengths
-
-
 def _slot_images(lo: np.ndarray, hi: np.ndarray, sz: int, axes: list[int]) -> int:
-    """The samples of the slots [lo, hi), of shape (C, x-rows, sy), each
-    counted once per image under the y and z mirror ``axes``, as
-    ``_run_images`` counts those of a run, from flat sums."""
+    """The samples of the slots [lo, hi), of shape (C, sx, sy), each counted
+    once per image under the mirror ``axes``, as ``_images`` counts them:
+    the slots of the last x-row lie on the x mirror plane, those of the last
+    line of each x-row on the y one, and a slot that ends its line has one
+    sample on the z one."""
+    images = hi - lo
+    if 2 in axes:
+        images *= 2
+        images -= hi == sz
 
-    def total(lo: np.ndarray, hi: np.ndarray) -> int:
-        samples = int(hi.sum()) - int(lo.sum())
-        # A slot ending its line has one sample on the z mirror plane.
-        return 2 * samples - int(np.count_nonzero(hi == sz)) if 2 in axes else samples
+    def lined(block: np.ndarray) -> int:
+        return 2 * int(block.sum()) - int(block[..., -1].sum()) if 1 in axes else int(block.sum())
 
-    # The last line of each x-row lies on the y mirror plane.
-    return 2 * total(lo, hi) - total(lo[..., -1], hi[..., -1]) if 1 in axes else total(lo, hi)
-
-
-def _label_slabs(grid: ScalarGrid) -> tuple:
-    """The components of a grid found on its samples, for ``_tally``.
-
-    The grid is evaluated in slabs of at most ``SLAB_POINTS`` samples, or
-    one x-row if that is larger, into one workspace that every count reuses.
-    Each slab's runs along z, of both signs, are found on its samples
-    (``_sampled_bounds``) and labelled at once (``_label_runs``), with ids
-    numbered on across slabs.  Each slab's layout starts with the previous
-    slab's last x-row, whose runs pair one to one, in order, with that
-    slab's.  A slab's zeros are its samples in no run, from the runs'
-    lengths.
-    """
-    sx, sy, sz = grid.shape
-    step = max(1, SLAB_POINTS // (sy * sz))
-    line, plane = sz + 1, (sy + 1) * (sz + 1)
-    layout = 2 * (step + 2) * plane  # the bytes of _sampled_bounds' marks
-    workspace = _count_workspace(max(8 * step * sy * sz, layout), layout + 1)
-    yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
-    on_planes: dict[int, list[np.ndarray]] = {axis: [] for axis in yz_axes}
-    links = [np.empty((2, 0), np.intp)]  # pairs of ids of one component
-    negative = []  # per slab, whether each of its components is one of v < 0
-    total = n_zero = 0
-    for start in range(0, sx, step):
-        rows = min(step, sx - start)
-        starts, ends, ids, (n_pos, n_neg) = _label_runs(
-            _sampled_bounds(grid, step, *workspace, start, start + rows), (rows, sy, sz), total
-        )
-        half = (rows + 2) * plane
-        # Runs on the y mirror plane lie in the last line of an x-row; those on the z one end a line.
-        on_y = 1 in yz_axes and starts % plane >= (sy - 1) * line
-        on_z = 2 in yz_axes and ends % line == sz
-        for axis, on in ((1, on_y), (2, on_z)):
-            if axis in yz_axes:
-                on_planes[axis].append(ids.take(on.nonzero()[0]))
-        images = _run_images(ends - starts, on_y, on_z, yz_axes)
-        if start:
-            # The carried x-row is the previous slab's, whose zeros are counted.
-            carried = _row_runs(starts, 0, half, plane)
-            links.append(np.stack((last_ids, ids[carried])))
-            images[carried] = 0
-        last = _row_runs(starts, rows, half, plane)
-        s, e, last_ids, last_images = starts[last], ends[last], ids[last], images[last]
-        negative.append(np.arange(n_pos + n_neg) >= n_pos)
-        total += n_pos + n_neg
-        n_zero += _images((rows, sy, sz), yz_axes) - int(images.sum())
-        # Only the last x-row's runs are read again, so the slab's others are
-        # released before the next slab is labelled, not held under its peak.
-        del starts, ends, ids, images, on_y, on_z
-    return (
-        np.concatenate(negative),
-        np.concatenate(links, axis=1),
-        {axis: np.concatenate(ids) for axis, ids in on_planes.items()},
-        (s, e, last_ids),
-        n_zero,
-        _images((1, sy, sz), yz_axes) - int(last_images.sum()),
-    )
+    return 2 * lined(images) - lined(images[:, -1]) if 0 in axes else lined(images)
 
 
-def _slot_overlaps(signs, lo, hi, step: int) -> np.ndarray:
+def _slot_overlaps(signs, lo, hi, step: int, out: np.ndarray) -> np.ndarray:
     """Which slots s of line k and t of line k + step have one sign and
-    overlap in z, as a (C, C, lines - step) mask."""
-    mask = signs[:, None, :-step] == signs[None, :, step:]
+    overlap in z, as a (C, C, lines - step) mask written into ``out``."""
+    mask = np.equal(signs[:, None, :-step], signs[None, :, step:], out=out[..., :-step])
     mask &= lo[:, None, :-step] < hi[None, :, step:]
     mask &= lo[None, :, step:] < hi[:, None, :-step]
     return mask
 
 
 def _label_slots(grid: ScalarGrid, signs, lo, hi) -> tuple:
-    """The components of a grid whose runs lie in the slots of ``_root_runs``,
-    for ``_tally``.
+    """The components of a grid whose runs lie in slots, for ``_tally``.
 
-    ``_root_runs`` gives two slots per line, but ``signs``, ``lo`` and
-    ``hi`` may hold any number C, of shape (C, sx sy), in z order per line.
-    A slot of one line is joined to the same slot of the next line of its
+    ``signs``, ``lo`` and ``hi``, of shape (C, sx sy), line (i, j) at i sy +
+    j, hold C slots per line in z order, as ``_root_runs`` and
+    ``_sampled_slots`` give them: each slot's sign, 0 for a slot that holds
+    no sample, and its z-interval [lo, hi), [0, 0) for a slot of sign 0; two
+    slots of one sign in a line never touch, so each slot of a sign is a
+    whole run.  A slot is joined to the same slot of the next line of its
     x-row if the two have one sign and overlap in z.  The chains of joined
     slots are numbered in the order of their first slots, the heads, and as
     a chain's slots lie one after the other, a slot's chain is the last head
     at or before it (``searchsorted``).  The other links are the overlaps of
     any two slots of one sign in neighbouring lines (``_slot_overlaps``):
-    across slots between y-neighbours, and between x-neighbours.  A link
-    that continues the link one line before it along both of its chains is
-    dropped.  The zeros are the samples in no slot, from flat sums of the
-    slots' bounds.
+    across slots between y-neighbours, and between x-neighbours, less each
+    of those that continues the x-link one line before it along both of its
+    chains.  The zeros are the samples in no slot, from sums of the slots'
+    lengths.
     """
     sx, sy, sz = grid.shape
     slots, lines = signs.shape
-    # A slot and the same slot of the next line: the diagonal of the y overlaps.
-    along_y = _slot_overlaps(signs, lo, hi, 1)
-    joined = np.zeros((slots, lines), bool)
-    joined[:, 1:] = np.diagonal(along_y).T
-    joined[:, ::sy] = False
-    heads = np.flatnonzero((signs != 0) & ~joined)
+    # The last index of a mirror axis lies on its plane, as the last x-row
+    # lies on the plane that an inversion maps to itself.
+    axes = [axis for axis, h in enumerate((grid.mirrors[0] or grid.inversion, *grid.mirrors[1:])) if h]
+    n_zero = _images(grid.shape, axes) - _slot_images(
+        lo.reshape(slots, sx, sy), hi.reshape(slots, sx, sy), sz, axes
+    )
+    # The links along y, then along x, each line k to its next, k + 1 or k + sy.
+    pairs = np.zeros((2, slots, slots, lines), bool)
+    along_y = _slot_overlaps(signs, lo, hi, 1, pairs[0])
+    along_y[..., sy - 1 :: sy] = False  # line j = sy-1 has no y-neighbour in its x-row
+    # Each slot against the same slot of the next line, a view of the diagonal.
+    same = pairs[0].reshape(slots * slots, lines)[:: slots + 1]
+    joined = np.zeros(signs.shape, bool)
+    joined[:, 1:] = same[:, :-1]
+    same[:] = False  # one slot's links along y are its chain
+    # A joined slot is signed, so the heads are the signed slots not joined.
+    heads = np.not_equal(signs, 0)
+    heads ^= joined
+    heads = np.flatnonzero(heads)
 
     def chains(nodes: np.ndarray) -> np.ndarray:
         """The chain of each signed slot in ``nodes``, flat indices of (C, lines)."""
         return heads.searchsorted(nodes, "right") - 1
 
-    links = [np.empty((2, 0), np.intp)]
-    for axis, step in ((1, 1), (0, sy)):
-        mask = along_y if axis == 1 else _slot_overlaps(signs, lo, hi, step)
-        # Less each link whose two slots are joined to those of the link one line before.
-        mask[..., 1:] &= ~(mask[..., :-1] & joined[:, None, 1:-step] & joined[None, :, step + 1 :])
-        if axis == 1:
-            mask[np.arange(slots), np.arange(slots)] = False  # one slot's links are its chain
-            mask[..., sy - 1 :: sy] = False  # line j = sy-1 has no y-neighbour in its x-row
-        s, t, k = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        links.append(chains(np.stack((s * lines + k, t * lines + k + step))))
-    yz_axes = [axis for axis in (1, 2) if grid.mirrors[axis]]
+    along_x = _slot_overlaps(signs, lo, hi, sy, pairs[1])
+    # Less each x-link whose two slots are joined to those of the link one line before.
+    continued = along_x[..., :-1] & joined[:, None, 1:-sy]
+    continued &= joined[None, :, sy + 1 :]
+    np.greater(along_x[..., 1:], continued, out=along_x[..., 1:])
+    # Slot s of line k is linked to slot t of line k + 1 along y, k + sy along x.
+    axis, s, t, k = np.unravel_index(np.flatnonzero(pairs), pairs.shape)
+    links = chains(np.stack((s * lines + k, t * lines + k + 1 + (sy - 1) * axis)))
+    # The chains of the last x-row's slots, and then of the last line of each x-row's.
+    first = np.arange(0, slots * lines, lines)[:, None]
+    row = chains(first + np.arange(lines - sy, lines))
     on_planes = {}
-    if 1 in yz_axes:
-        edge = (np.arange(sy - 1, lines, sy) + np.arange(0, slots * lines, lines)[:, None]).ravel()
-        on_planes[1] = chains(edge.take(signs.ravel().take(edge).nonzero()[0]))
-    if 2 in yz_axes:
+    if grid.mirrors[0]:
+        on_planes[0] = row[signs[:, -sy:] != 0]
+    if grid.mirrors[1]:
+        edge = first + np.arange(sy - 1, lines, sy)
+        on_planes[1] = chains(edge[signs[:, sy - 1 :: sy] != 0])
+    if grid.mirrors[2]:
         # A slot of sign 0 ends at 0, so the stretch from one head to the next
         # finds sz only among the slots of the first head's chain.
         on_planes[2] = np.logical_or.reduceat(hi.ravel() == sz, heads).nonzero()[0]
-    lo, hi = lo.reshape(slots, sx, sy), hi.reshape(slots, sx, sy)
-    # The last x-row's slots, line by line and so in the order of z, v > 0 first.
-    row = signs[:, lines - sy :].T.ravel()
-    at = np.concatenate(((row > 0).nonzero()[0], (row < 0).nonzero()[0]))
-    j, slot = np.divmod(at, slots)
-    k = slot * lines + (lines - sy) + j
-    j *= sz + 1
-    return (
-        signs.ravel().take(heads) < 0,
-        np.concatenate(links, axis=1),
-        on_planes,
-        (j + lo.take(k), j + hi.take(k), chains(k)),
-        _images((sx, sy, sz), yz_axes) - _slot_images(lo, hi, sz, yz_axes),
-        _images((1, sy, sz), yz_axes) - _slot_images(lo[:, -1:], hi[:, -1:], sz, yz_axes),
-    )
+    last = signs[:, -sy:], lo[:, -sy:], hi[:, -sy:], row
+    return signs.ravel().take(heads) < 0, links, on_planes, last, n_zero
 
 
-def _tally(
-    grid: ScalarGrid, negative, links, on_planes: dict, last: tuple, n_zero: int, last_zero: int
-) -> NodalCount:
-    """The count of a grid from the ids of its labeller.
+def _tally(grid: ScalarGrid, negative, links, on_planes: dict, last: tuple, n_zero: int) -> NodalCount:
+    """The count of a grid from the ids of ``_label_slots``.
 
     ``negative`` marks the ids of components of v < 0; ``links`` holds pairs
-    of ids of one component; ``on_planes`` the ids on the y and z mirror
-    planes; ``last`` the last x-row's runs, v > 0 first, each sign in the
-    order of the row: their starts and ends, the positions before their
-    first samples and of their last, whose remainders mod (sy+1)(sz+1) are
-    their positions in a layout of the row with a zero before each line, and
-    their ids; ``n_zero`` the zeros, each counted once per image under the y
-    and z mirrors, and ``last_zero`` those of the last x-row.
+    of ids of one component; ``on_planes`` the ids on each mirror plane;
+    ``last`` the slots of the last x-row, (C, sy) arrays of their signs,
+    bounds and ids; ``n_zero`` the zeros, each counted once per image.
     """
     _, sy, sz = grid.shape
-    line, plane = sz + 1, (sy + 1) * (sz + 1)
-    mirror_axes = [axis for axis, m in enumerate(grid.mirrors) if m]
-    s, e, last_ids = last
-    # The x mirror plane, or the plane g maps to itself, is the last x-row.
-    if grid.mirrors[0] or grid.inversion:
-        n_zero = 2 * n_zero - last_zero
-    if grid.mirrors[0]:
-        on_planes = {**on_planes, 0: last_ids}
     total = len(negative)
     if grid.inversion:
         # g maps the last x-row to itself by (j, k) -> (sy-1-j, sz-1-k) and
-        # each sample to ε times itself: a run (s, e] there goes to (c-e, c-s]
-        # in the row, c = (sy-1)(sz+1)+sz, with ε times its sign.  So the k-th
-        # run from the end of a sign lands on the k-th run of its image's sign,
-        # and its copy joins that run.  No sort is made: a process's first
-        # np.argsort faults in about 256 KiB of numpy's code, which showed in
-        # the census's peak RSS.
-        s, e = s % plane, e % plane
+        # each sample to ε times itself.  Let a run [lo, hi) of line j there
+        # be [s, e) = j (sz+1) + [lo, hi): it goes to [c-e, c-s), c =
+        # (sy-1)(sz+1)+sz, with ε times its sign.  That reverses the row's
+        # runs, taken line by line in z order, so the k-th from the end is
+        # the image of the k-th, and its copy joins that run.  No sort is
+        # made: a process's first np.argsort faults in about 256 KiB of
+        # numpy's code, which showed in the census's peak RSS.
+        signs, lo, hi, ids = (a.T for a in last)
+        row = signs != 0
+        start = np.arange(0, sy * (sz + 1), sz + 1)[:, None]
+        s, e, ids = (lo + start)[row], (hi + start)[row], ids[row]
         flip = grid.inversion < 0
-        neg = negative[last_ids]
-        order = np.roll(np.arange(len(s))[::-1], 0 if flip else len(s) - np.count_nonzero(neg))
-        c = (sy - 1) * line + sz
+        neg = negative[ids]
+        c = (sy - 1) * (sz + 1) + sz
         if (
-            np.count_nonzero((c - e)[order] != s)
-            or np.count_nonzero((c - s)[order] != e)
-            or np.count_nonzero(neg[order] == (neg == flip))
+            np.count_nonzero(c - e[::-1] != s)
+            or np.count_nonzero(c - s[::-1] != e)
+            or np.count_nonzero(neg[::-1] == (neg == flip))
         ):
             raise ValueError("the grid's plane i = n/2 is not mapped to itself by g")
-        links = np.concatenate((links, links + total, (last_ids[order], last_ids + total)), axis=1)
+        links = np.concatenate((links, links + total, (ids[::-1], ids + total)), axis=1)
         negative = np.concatenate((negative, negative != flip))
-    size = len(negative)
-    labels = _union(size, *links)
-    touched = np.zeros(size, np.intp)
+    labels = _union(len(negative), *links)
+    # A component counts 2 for each mirror plane that it does not touch.
+    weights = (labels == np.arange(len(labels))) << len(on_planes)
     for ids in on_planes.values():
-        on = np.zeros(size, bool)
-        on[labels.take(ids)] = True
-        touched += on
-    weights = (1 << (len(mirror_axes) - touched)) * (labels == np.arange(size))
+        weights[labels.take(ids)] >>= 1
     n_neg = int(weights[negative].sum())
     n_pos = int(weights.sum()) - n_neg
     if -1 in grid.mirrors:
@@ -790,13 +683,13 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     """Face-connected components of the positive and negative sample sets.
 
     Counts are those of the whole (n-1)^3 grid also when ``grid`` holds only
-    its quotient.  A grid of at least ``ROOT_POINTS`` samples whose z-lines'
-    closed form proves every sample's sign (``_root_runs``) is labelled on
-    its lines' slots (``_label_slots``), with no sample evaluated; every
-    other grid is labelled on the runs of its samples, slab by slab
-    (``_label_slabs``).  Either labeller gives ids with a sign each, pairs
-    of ids to merge, the ids on the mirror planes, the last x-row's runs and
-    the zeros, and one tail (``_tally``) weighs and merges them.
+    its quotient.  Each z-line's runs go into slots: from the lines' closed
+    form (``_root_runs``), with no sample evaluated, on a grid of at least
+    ``ROOT_POINTS`` samples where it proves every sample's sign, and from
+    the samples, slab by slab, on every other grid (``_sampled_slots``).
+    One labeller (``_label_slots``) gives ids with a sign each, pairs of ids
+    to merge, the ids on the mirror planes, the last x-row's slots and the
+    zeros, and one tail (``_tally``) weighs and merges them.
 
     A component counts 2 for each mirror plane (the last index of a mirror
     axis) that none of its runs touches, which is its number of images on
@@ -811,7 +704,7 @@ def count_components(grid: ScalarGrid) -> NodalCount:
     """
     _raise_mmap_threshold()
     slots = _root_runs(grid) if math.prod(grid.shape) >= ROOT_POINTS else None
-    return _tally(grid, *(_label_slabs(grid) if slots is None else _label_slots(grid, *slots)))
+    return _tally(grid, *_label_slots(grid, *(slots or _sampled_slots(grid))))
 
 
 def count_nodal_domains(

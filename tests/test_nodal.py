@@ -314,8 +314,8 @@ def test_quotient_count_matches_full_grid(case):
 def test_counts_do_not_depend_on_the_slabs(case, monkeypatch):
     # Every grid here fits one slab by default; one x-row per slab makes each
     # component cross slab faces, and the counts must not change, whether
-    # the grid is labelled on the runs of its samples or, where the z-lines
-    # have a closed form, on their slots, which no slab size reaches.
+    # the slots are found on the grid's samples or, where the z-lines have a
+    # closed form, on their roots, which no slab size reaches.
     combos, n0, _, _, _ = QUOTIENT_CASES[case]
     grids = [
         sample_field(combo, n, quotient)
@@ -453,70 +453,66 @@ def samples_grid(samples):
     return nodal.ScalarGrid(16, samples.shape, samples.reshape(-1, sz).T.copy(), np.eye(sz))
 
 
-def painted(starts, ends, shape):
-    """The layout of ``nodal._label_runs`` for a slab of ``shape``, each
-    position holding the number of the runs ``starts``, ``ends`` over it."""
-    sx, sy, sz = shape
-    size = 2 * (sx + 2) * (sy + 1) * (sz + 1)
-    paint = np.zeros(size + 1, np.intp)
-    np.add.at(paint, starts + 1, 1)
-    np.add.at(paint, ends + 1, -1)
-    return np.cumsum(paint)[:size].reshape(2, sx + 2, sy + 1, sz + 1)
+STALE_WORKSPACE = tuple(np.empty(8 * nodal.SLAB_POINTS + 16, np.uint8) for _ in range(2))
 
 
-def run_labels(samples, carried):
-    """``nodal._label_runs`` on the runs ``nodal._sampled_bounds`` finds in
-    ``samples``, numbered on from 7, in a workspace full of stale bytes,
-    after a slab whose last x-row is ``carried`` (none if ``carried`` is
-    None)."""
-    sx, sy, sz = samples.shape
-    previous = np.zeros((0, sy, sz)) if carried is None else np.concatenate((-samples[::-1], carried))
-    grid = samples_grid(np.concatenate((previous, samples)))
-    step = len(previous)
-    size = 2 * (max(step, sx) + 2) * (sy + 1) * (sz + 1)
-    spare = np.full(8 * size, 255, np.uint8)
-    marks = np.full(size + 1, 255, np.uint8)
-    if step:
-        nodal._sampled_bounds(grid, step, spare, marks, 0, step)
-    bounds = nodal._sampled_bounds(grid, step, spare, marks, step, step + sx)
-    return nodal._label_runs(bounds, samples.shape, 7)
+def sampled_slots(grid, slab_points):
+    """``nodal._sampled_slots`` of ``grid`` in slabs of at most ``slab_points``
+    samples, in a workspace full of stale bytes."""
+    for buffer in STALE_WORKSPACE:
+        buffer[: 8 * math.prod(grid.shape) + 16] = 255  # every byte the count can reach
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodal, "SLAB_POINTS", slab_points)
+        patch.setattr(nodal, "_workspace", STALE_WORKSPACE)
+        slots = nodal._sampled_slots(grid)
+        assert all(a is b for a, b in zip(nodal._workspace, STALE_WORKSPACE))
+    return slots
+
+
+def slot_chains(signs, lo, hi, sy):
+    """The chain of each slot, as ``nodal._label_slots`` numbers them: a
+    signed slot that does not overlap the same slot of the line before it in
+    its x-row, with its sign, starts a chain, in the order of (slot, line)."""
+    joined = np.zeros(signs.shape, bool)
+    joined[:, 1:] = (signs[:, 1:] == signs[:, :-1]) & (lo[:, 1:] < hi[:, :-1]) & (lo[:, :-1] < hi[:, 1:])
+    joined[:, ::sy] = False
+    return np.cumsum((signs != 0) & ~joined).reshape(signs.shape) - 1
 
 
 def check_run_labels(samples):
-    """``_label_runs`` against ``ndimage.label`` on each sign's mask of the
-    carried x-row stacked on the slab, with no carried row (a row of zeros),
-    with the slab's first x-row, and with that row negated and reflected in y:
-    the masks painted from the runs, the count of each sign, the runs'
-    lengths, and the runs' components, which must map one to one onto the
-    labels at the runs' first samples, numbered on from 7 with those of v > 0
-    first."""
-    sx, sy, sz = samples.shape
-    line, plane = sz + 1, (sy + 1) * (sz + 1)
+    """The slots ``nodal._sampled_slots`` finds in the samples, and their
+    labels, against ``ndimage.label`` on each sign's mask, with a carried
+    x-row stacked on the slab: none, the slab's first x-row, and that row
+    negated and reflected in y.  In one slab and in one x-row per slab, from
+    a workspace full of stale bytes, the slots must be the same.  Checked:
+    the masks painted from the slots, the count of each sign, the slots'
+    lengths, and their components, which must map one to one onto the
+    labels at the slots' first samples."""
     for carried in (None, samples[:1], -samples[:1, ::-1]):
-        starts, ends, ids, counts = run_labels(samples, carried)
-        stacked = np.concatenate((np.zeros((1, sy, sz)) if carried is None else carried, samples))
-        # Each sample lies in one run of its sign, and nothing else in a run.
-        expected = np.zeros((2, sx + 2, sy + 1, sz + 1), np.intp)
-        expected[:, : sx + 1, :sy, 1:] = stacked > 0, stacked < 0
-        assert np.array_equal(painted(starts, ends, samples.shape), expected)
-        # A run's first sample is the mark after its start: layout x-row x of
-        # the half of a sign is x-row x of the stacked slab.
-        first = starts + 1
-        signs, x = np.divmod(first // plane, sx + 2)
-        at = x, first % plane // line, first % line - 1
-        bounds = zip((signs, *at), (2, *stacked.shape))
-        assert all(((a >= 0) & (a < size)).all() for a, size in bounds)
-        base = 7
-        for sign, mask in enumerate((stacked > 0, stacked < 0)):
-            expected, count = ndimage.label(mask, structure=FACE_STRUCTURE)
-            assert counts[sign] == count
-            mine = signs == sign
-            assert (ends - starts)[mine].sum() == np.count_nonzero(mask)
-            pairs = set(zip(ids[mine].tolist(), expected[tuple(a[mine] for a in at)].tolist()))
-            assert {a for a, _ in pairs} == set(range(base, base + count))
-            assert {b for _, b in pairs} == set(range(1, count + 1))
-            assert len(pairs) == count
-            base += count
+        stacked = samples if carried is None else np.concatenate((carried, samples))
+        grid = samples_grid(stacked)
+        sx, sy, sz = stacked.shape
+        slots = sampled_slots(grid, nodal.SLAB_POINTS)
+        assert all(np.array_equal(a, b) for a, b in zip(slots, sampled_slots(grid, 1)))
+        check_slots(grid, *slots)
+        signs, lo, hi = slots
+        count = nodal._tally(grid, *nodal._label_slots(grid, *slots))
+        negative, links = nodal._label_slots(grid, *slots)[:2]
+        # Each signed slot's component, and its first sample: x-row, line, z index.
+        slot, line = np.nonzero(signs)
+        labels = nodal._union(len(negative), *links)[slot_chains(*slots, sy)[slot, line]]
+        at = (*np.divmod(line, sy), lo[slot, line])
+        for sign, mask, counted in (
+            (1, stacked > 0, count.positive_components),
+            (-1, stacked < 0, count.negative_components),
+        ):
+            expected, n_labels = ndimage.label(mask, structure=FACE_STRUCTURE)
+            assert counted == n_labels
+            mine = signs[slot, line] == sign
+            assert (hi - lo)[signs == sign].sum() == np.count_nonzero(mask)
+            pairs = set(zip(labels[mine].tolist(), expected[tuple(a[mine] for a in at)].tolist()))
+            assert {b for _, b in pairs} == set(range(1, n_labels + 1))
+            assert len({a for a, _ in pairs}) == len(pairs) == n_labels
 
 
 BOX_CASES = {
@@ -657,16 +653,10 @@ def test_counts_match_whole_grid_labels(monkeypatch):
             assert got == want, (grid.n, grid.mirrors, grid.inversion, slab_points)
 
 
-def root_masks(grid):
-    """The masks v > 0 and v < 0 of ``grid``, with one empty sample after
-    each line, painted from the slots that ``nodal._root_runs`` finds on its
-    z-lines' closed form."""
-    return slot_masks(grid.shape, *nodal._root_runs(grid))
-
-
 def slot_masks(shape, signs, lo, hi):
     """The masks v > 0 and v < 0 of a grid of ``shape``, with one empty
-    sample after each line, painted from slots of ``nodal._root_runs``' form."""
+    sample after each line, painted from slots of ``nodal._label_slots``'
+    form, C per line."""
     sx, sy, sz = shape
     masks = []
     for sign in (1, -1):
@@ -678,15 +668,15 @@ def slot_masks(shape, signs, lo, hi):
     return masks
 
 
-def check_root_signs(grid):
+def check_slots(grid, signs, lo, hi):
+    """Slots of ``nodal._label_slots``' form against the grid's samples."""
     values = grid.values
     sx, sy, sz = grid.shape
-    for painted_mask, mask in zip(root_masks(grid), (values > 0, values < 0)):
+    for painted_mask, mask in zip(slot_masks(grid.shape, signs, lo, hi), (values > 0, values < 0)):
         # Nothing is painted outside the lines, nor twice.
         assert not painted_mask[..., sz].any()
         assert np.array_equal(painted_mask[..., :sz], mask)
-    signs, lo, hi = nodal._root_runs(grid)
-    assert signs.shape == lo.shape == hi.shape == (2, sx * sy)
+    assert signs.shape == lo.shape == hi.shape == (len(signs), sx * sy)
     # A slot of sign 0 overlaps nothing; the others lie in z order.
     assert np.all(lo[signs == 0] == 0) and np.all(hi[signs == 0] == 0)
     assert np.all((0 <= lo) & (lo < hi) & (hi <= sz) | (signs == 0))
@@ -696,6 +686,32 @@ def check_root_signs(grid):
             assert np.all(hi[s][both] <= lo[t][both])
             # Each run is whole: none starts where the one before it ends.
             assert not np.any((hi[s] == lo[t]) & (signs[s] == signs[t]) & both)
+
+
+def check_root_signs(grid):
+    slots = nodal._root_runs(grid)
+    assert slots[0].shape == (2, grid.shape[0] * grid.shape[1])
+    check_slots(grid, *slots)
+
+
+def most_runs(values):
+    """The most runs of one sign along z on any line of ``values``."""
+    signs = np.sign(values).reshape(-1, values.shape[2])
+    starts = signs != 0
+    starts[:, 1:] &= signs[:, 1:] != signs[:, :-1]
+    return int(starts.sum(axis=1).max())
+
+
+@pytest.mark.parametrize("slab_points", [1 << 18, 1])
+def test_sampled_slots_match_the_samples(slab_points):
+    assert nodal.SLAB_POINTS == 1 << 18
+    for combo in ORACLE_COMBOS:
+        for n in (16, 17, 24):
+            for quotient in (False, True):
+                grid = sample_field(combo, n, quotient)
+                slots = sampled_slots(grid, slab_points)
+                check_slots(grid, *slots)
+                assert len(slots[0]) == max(1, most_runs(grid.values)), (combo.coeffs, n, quotient)
 
 
 # SHA-256 of the bytes of (signs, lo, hi) of each of the grids below, in
@@ -740,7 +756,7 @@ def test_the_branch_must_fall(n):
 
 
 def random_slots(rng, shape, slots):
-    """Slots of ``nodal._root_runs``' form for a grid of ``shape``: per line,
+    """Slots of ``nodal._label_slots``' form for a grid of ``shape``: per line,
     ``slots`` intervals in z order of random signs, with zeros between and
     no two of one sign touching."""
     sx, sy, sz = shape
@@ -768,7 +784,7 @@ def test_slot_labels_match_whole_mask_labels_on_noise(mirrors):
     rng = np.random.default_rng(sum(mirrors) + 10 * mirrors[0])
     for trial in range(40):
         shape = tuple(int(size) for size in rng.integers(1 if trial % 4 else 2, 9, 3))
-        slots = 2 + trial % 2
+        slots = 1 + trial % 7
         signs, lo, hi = random_slots(rng, shape, slots)
         sx, sy, sz = shape
         grid = nodal.ScalarGrid(16, shape, np.zeros((1, sx * sy)), np.zeros((1, sz)), mirrors)
@@ -788,15 +804,15 @@ def test_slot_labels_match_whole_mask_labels_on_noise(mirrors):
 
 def counted_on_slots(grid, monkeypatch):
     """The count of ``grid``, asserting that it was labelled on the slots of
-    ``nodal._root_runs`` and not on runs."""
-    labelled = []
-    label_runs = nodal._label_runs
+    ``nodal._root_runs`` and not on those of its samples."""
+    sampled = []
+    sampled_slots = nodal._sampled_slots
     with monkeypatch.context() as patch:
         patch.setattr(
-            nodal, "_label_runs", lambda *args: labelled.append(args) or label_runs(*args)
+            nodal, "_sampled_slots", lambda *args: sampled.append(args) or sampled_slots(*args)
         )
         count = count_components(grid)
-    assert not labelled
+    assert not sampled
     return count
 
 
@@ -870,11 +886,11 @@ def test_union_of_no_pairs_one_id_and_a_long_chain():
 def counted_on_samples(grid, monkeypatch):
     """The count of ``grid``, asserting that its runs were found on its samples."""
     sampled = []
-    sampled_bounds = nodal._sampled_bounds
+    sampled_slots = nodal._sampled_slots
     with monkeypatch.context() as patch:
         patch.setattr(nodal, "ROOT_POINTS", 0)
         patch.setattr(
-            nodal, "_sampled_bounds", lambda *args: sampled.append(args) or sampled_bounds(*args)
+            nodal, "_sampled_slots", lambda *args: sampled.append(args) or sampled_slots(*args)
         )
         count = count_components(grid)
     assert sampled
@@ -973,9 +989,28 @@ def test_a_warm_count_allocates_no_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 580 KiB measured, most of it the slots and _label_slots' masks; a
+    # 566 KiB measured, most of it the slots and _label_slots' masks; a
     # third more allows for numpy's own temporaries.
     assert peak < 768 * 1024, peak
+
+
+def test_a_warm_sampled_count_allocates_little():
+    # A grid with no closed form, counted in four slabs: its runs are kept
+    # per slab until the slots are filled.
+    combo = EigenCombo(group_at(26), (0.5, -0.2, 0.1, 0.7, -0.3, 0.35))
+    grid = sample_field(combo, 128, quotient=True)
+    assert grid.shape == (64, 127, 127) and nodal._root_runs(grid) is None
+    assert math.prod(grid.shape) > 3 * nodal.SLAB_POINTS
+    expected = count_components(grid)
+    tracemalloc.start()
+    try:
+        assert count_components(grid) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 996 KiB measured, most of it the runs and the slots; a quarter more
+    # allows for numpy's own temporaries.
+    assert peak < 1248 * 1024, peak
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
@@ -1005,7 +1040,7 @@ def test_importing_the_cli_leaves_out_scipy_stats():
     # package's import time: the sweep draws its Halton points with
     # nodal._scrambled_halton.  Importing scipy.sparse.csgraph after the cli
     # raised peak RSS by 9.2 MiB, more than the benchmark's 5% bound on 64 MiB.
-    # nodal._label_runs labels the sign regions without scipy.ndimage, and
+    # nodal._label_slots labels the sign regions without scipy.ndimage, and
     # nodal._ndtri maps the points to the sphere without scipy.special, which
     # alone took about half the package's import time and memory.
     code = (

@@ -491,13 +491,14 @@ def check_run_labels(samples):
     for carried in (None, samples[:1], -samples[:1, ::-1]):
         stacked = samples if carried is None else np.concatenate((carried, samples))
         grid = samples_grid(stacked)
-        sx, sy, sz = stacked.shape
+        sy = stacked.shape[1]
         slots = sampled_slots(grid, nodal.SLAB_POINTS)
         assert all(np.array_equal(a, b) for a, b in zip(slots, sampled_slots(grid, 1)))
         check_slots(grid, *slots)
         signs, lo, hi = slots
-        count = nodal._tally(grid, *nodal._label_slots(grid, *slots))
-        negative, links = nodal._label_slots(grid, *slots)[:2]
+        labelled = nodal._label_slots(grid, *slots)
+        count = nodal._tally(grid, *labelled)
+        negative, links = labelled[:2]
         # Each signed slot's component, and its first sample: x-row, line, z index.
         slot, line = np.nonzero(signs)
         labels = nodal._union(len(negative), *links)[slot_chains(*slots, sy)[slot, line]]
@@ -702,9 +703,8 @@ def most_runs(values):
     return int(starts.sum(axis=1).max())
 
 
-@pytest.mark.parametrize("slab_points", [1 << 18, 1])
+@pytest.mark.parametrize("slab_points", [nodal.SLAB_POINTS, 1])
 def test_sampled_slots_match_the_samples(slab_points):
-    assert nodal.SLAB_POINTS == 1 << 18
     for combo in ORACLE_COMBOS:
         for n in (16, 17, 24):
             for quotient in (False, True):
@@ -806,10 +806,10 @@ def counted_on_slots(grid, monkeypatch):
     """The count of ``grid``, asserting that it was labelled on the slots of
     ``nodal._root_runs`` and not on those of its samples."""
     sampled = []
-    sampled_slots = nodal._sampled_slots
+    original = nodal._sampled_slots
     with monkeypatch.context() as patch:
         patch.setattr(
-            nodal, "_sampled_slots", lambda *args: sampled.append(args) or sampled_slots(*args)
+            nodal, "_sampled_slots", lambda *args: sampled.append(args) or original(*args)
         )
         count = count_components(grid)
     assert not sampled
@@ -886,11 +886,11 @@ def test_union_of_no_pairs_one_id_and_a_long_chain():
 def counted_on_samples(grid, monkeypatch):
     """The count of ``grid``, asserting that its runs were found on its samples."""
     sampled = []
-    sampled_slots = nodal._sampled_slots
+    original = nodal._sampled_slots
     with monkeypatch.context() as patch:
         patch.setattr(nodal, "ROOT_POINTS", 0)
         patch.setattr(
-            nodal, "_sampled_slots", lambda *args: sampled.append(args) or sampled_slots(*args)
+            nodal, "_sampled_slots", lambda *args: sampled.append(args) or original(*args)
         )
         count = count_components(grid)
     assert sampled

@@ -455,7 +455,7 @@ def _run_nodal(args) -> tuple[str, int]:
         raise ValueError(f"{len(modes)} modes but {len(coeffs)} coefficients were given")
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate modes")
-    values = {m.cube_eigenvalue for m in modes}
+    values = {CUBE.eigenvalue(m) for m in modes}
     if len(values) != 1:
         raise ValueError(f"modes mix distinct eigenvalues {sorted(values)}")
     value = values.pop()

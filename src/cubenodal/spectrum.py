@@ -34,6 +34,9 @@ class ModeTriple:
     n: int
 
     def __post_init__(self) -> None:
+        l, m, n = self.l, self.m, self.n
+        if type(l) is int and type(m) is int and type(n) is int and l > 0 and m > 0 and n > 0:
+            return
         for name in ("l", "m", "n"):
             value = operator.index(getattr(self, name))
             object.__setattr__(self, name, value)
@@ -42,10 +45,6 @@ class ModeTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.l, self.m, self.n)
-
-    @property
-    def cube_eigenvalue(self) -> int:
-        return self.l**2 + self.m**2 + self.n**2
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,15 @@ class BoxSpec:
 
     def eigenvalue(self, mode: ModeTriple) -> float:
         """Eigenvalue of a mode; an exact int on the cube, a float otherwise."""
-        if self.is_cube:
-            return mode.cube_eigenvalue
-        return self.alpha * mode.l**2 + self.beta * mode.m**2 + self.gamma * mode.n**2
+        return _eigenvalue(*self._exact_weights(), mode.l, mode.m, mode.n)
+
+    def _exact_weights(self) -> tuple[float, float, float]:
+        return (1, 1, 1) if self.is_cube else (self.alpha, self.beta, self.gamma)
+
+
+def _eigenvalue(a: float, b: float, g: float, l: int, m: int, n: int) -> float:
+    """a l^2 + b m^2 + g n^2: an exact int for the cube's int weights."""
+    return a * l**2 + b * m**2 + g * n**2
 
 
 CUBE = BoxSpec()
@@ -106,8 +111,6 @@ class EigenvalueGroup:
 
 def _axis_limit(weight: float, rest: float, lambda_max: float) -> int:
     """Largest index q >= 0 with weight*q^2 + rest <= lambda_max."""
-    if lambda_max < rest:
-        return 0
     q = int(math.sqrt(max(lambda_max - rest, 0.0) / weight)) + 2
     while q > 0 and weight * q * q + rest > lambda_max:
         q -= 1
@@ -122,22 +125,18 @@ def enumerate_groups(box: BoxSpec, lambda_max: float) -> list[EigenvalueGroup]:
     """
     if not math.isfinite(lambda_max):
         raise ValueError("lambda_max must be finite")
-    a, b, g = box.alpha, box.beta, box.gamma
+    a, b, g = box._exact_weights()
+    # The loops run in lexicographic order, so each bucket is born sorted.
     buckets: dict[float, list[ModeTriple]] = {}
-    l_top = _axis_limit(a, b + g, lambda_max)
-    for l in range(1, l_top + 1):
-        m_top = _axis_limit(b, a * l * l + g, lambda_max)
-        for m in range(1, m_top + 1):
-            n_top = _axis_limit(g, a * l * l + b * m * m, lambda_max)
-            for n in range(1, n_top + 1):
-                mode = ModeTriple(l, m, n)
-                buckets.setdefault(box.eigenvalue(mode), []).append(mode)
+    for l in range(1, _axis_limit(a, b + g, lambda_max) + 1):
+        for m in range(1, _axis_limit(b, a * l * l + g, lambda_max) + 1):
+            for n in range(1, _axis_limit(g, a * l * l + b * m * m, lambda_max) + 1):
+                buckets.setdefault(_eigenvalue(a, b, g, l, m, n), []).append(ModeTriple(l, m, n))
     groups: list[EigenvalueGroup] = []
     k = 1
     for value in sorted(buckets):
-        modes = tuple(sorted(buckets[value], key=ModeTriple.as_tuple))
-        groups.append(EigenvalueGroup(value, modes, k))
-        k += len(modes)
+        groups.append(EigenvalueGroup(value, tuple(buckets[value]), k))
+        k += len(buckets[value])
     return groups
 
 

@@ -85,16 +85,17 @@ def symmetric_indices(groups: list[EigenvalueGroup]) -> dict[float, SymmetricInd
     """Index of each single-parity group, keyed by value, from ``enumerate_groups`` output.
 
     Counts go up per mode, so a group that mixes parities counts toward both
-    but gets no index of its own.
+    but gets no index of its own.  A mode is even when l + m + n is odd.
     """
-    below = dict.fromkeys(Parity, 0)
+    even_below = odd_below = 0
     indices = {}
     for group in groups:
-        parities = [eigenspace_parity(m) for m in group.modes]
-        if len(set(parities)) == 1:
-            indices[group.value] = SymmetricIndex(group, parities[0], below[parities[0]] + 1)
-        for parity in parities:
-            below[parity] += 1
+        even = sum([(m.l + m.m + m.n) & 1 for m in group.modes])
+        if even == len(group.modes):
+            indices[group.value] = SymmetricIndex(group, Parity.EVEN, even_below + 1)
+        elif not even:
+            indices[group.value] = SymmetricIndex(group, Parity.ODD, odd_below + 1)
+        even_below, odd_below = even_below + even, odd_below + len(group.modes) - even
     return indices
 
 

@@ -4,7 +4,7 @@ import math
 import os
 from pathlib import Path
 
-from cubenodal import CUBE, EigenCombo, enumerate_groups
+from cubenodal import CUBE, EigenCombo, ModeTriple, enumerate_groups
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,14 +66,15 @@ def brute_force_count_below(lam):
     return count
 
 
-def brute_force_modes_upto(lam_max):
-    """All cube modes (l,m,n) with l^2+m^2+n^2 <= lam_max, by direct loops."""
-    top = int(math.isqrt(int(lam_max))) + 1
+def brute_force_modes_upto(lam_max, box=CUBE):
+    """All modes (l,m,n) of the box with eigenvalue <= lam_max, by direct loops
+    over a cube of indices that holds them all."""
+    top = math.isqrt(int(lam_max / min(box.alpha, box.beta, box.gamma))) + 1
     modes = []
     for l in range(1, top + 1):
         for m in range(1, top + 1):
             for n in range(1, top + 1):
-                if l * l + m * m + n * n <= lam_max:
+                if box.eigenvalue(ModeTriple(l, m, n)) <= lam_max:
                     modes.append((l, m, n))
     return modes
 

@@ -159,7 +159,7 @@ def test_criterion_08_product_mode_oracle():
     triples = brute_force_modes_upto(27)
     for l, m, n in triples:
         mode = ModeTriple(l, m, n)
-        group = group_at(mode.cube_eigenvalue)
+        group = group_at(CUBE.eigenvalue(mode))
         coeffs = tuple(1.0 if g == mode else 0.0 for g in group.modes)
         count = count_nodal_domains(EigenCombo(group, coeffs), 32)
         assert count.total == product_nodal_count(mode), (l, m, n)

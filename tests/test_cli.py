@@ -20,6 +20,7 @@ SWEEP_GOLDEN_ARGV = ["sweep", "--value", "11", "--samples", "6", "--resolution",
 GOLDEN_REPORTS = [
     (["table"], "table_golden.md"),
     (["table", "--format", "csv"], "table_golden.csv"),
+    (["table", "--box", "1,1,2", "--lambda-max", "60", "--format", "csv"], "table_box_golden.csv"),
     (["screen"], "screen_golden.md"),
     (["screen", "--format", "csv"], "screen_golden.csv"),
     (["screen", "--lambda-max", "300", "--format", "csv"], "screen_golden_300.csv"),

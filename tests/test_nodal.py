@@ -35,7 +35,7 @@ from helpers import child_env, group_at, lambda11_combo
 
 def pure_combo(l, m, n):
     mode = ModeTriple(l, m, n)
-    group = group_at(mode.cube_eigenvalue)
+    group = group_at(CUBE.eigenvalue(mode))
     coeffs = tuple(1.0 if g == mode else 0.0 for g in group.modes)
     return EigenCombo(group, coeffs)
 

@@ -13,7 +13,7 @@ from cubenodal import (
     product_nodal_count,
 )
 from cubenodal.spectrum import _axis_limit
-from helpers import EIGENVALUE_TABLE, brute_force_count_below
+from helpers import EIGENVALUE_TABLE, brute_force_count_below, brute_force_modes_upto
 
 
 def test_mode_triple_validates():
@@ -21,7 +21,35 @@ def test_mode_triple_validates():
         ModeTriple(0, 1, 1)
     with pytest.raises(ValueError):
         ModeTriple(1, -2, 1)
-    assert ModeTriple(1, 2, 3).cube_eigenvalue == 14
+    assert CUBE.eigenvalue(ModeTriple(1, 2, 3)) == 14
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_mode_triple_checks_every_input_that_is_not_a_positive_int(axis):
+    def triple(value):
+        args = [1, 1, 1]
+        args[axis] = value
+        return ModeTriple(*args)
+
+    for value in (True, np.int64(2)):
+        stored = triple(value).as_tuple()[axis]
+        assert stored == value and type(stored) is int
+    with pytest.raises(TypeError):
+        triple(2.0)
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError):
+            triple(value)
+
+
+def test_mode_triples_compare_and_hash_as_their_tuples():
+    triples = [(l, m, n) for l in (1, 2) for m in (1, 3) for n in (2, 1)]
+    modes = [ModeTriple(*t) for t in triples]
+    assert ModeTriple(np.int64(2), 1, True) == ModeTriple(2, 1, 1)
+    assert hash(ModeTriple(np.int64(2), 1, True)) == hash(ModeTriple(2, 1, 1))
+    assert len(set(modes + [ModeTriple(*t) for t in triples])) == len(triples)
+    assert [m.as_tuple() for m in sorted(modes)] == sorted(triples)
+    for a, b in zip(modes, modes[1:]):
+        assert (a < b, a <= b, a == b) == (a.as_tuple() < b.as_tuple(), a.as_tuple() <= b.as_tuple(), False)
 
 
 def test_box_rejects_nonpositive_weights():
@@ -140,6 +168,36 @@ def test_irrational_box_has_simple_eigenvalues():
     assert all(g.multiplicity == 1 for g in groups)
     values = [g.value for g in groups]
     assert values == sorted(values)
+
+
+def brute_force_groups(box, lam_max):
+    """(value, modes in lexicographic order, k_min) of every eigenvalue up to
+    lam_max, grouping the brute-force modes by their exact eigenvalue."""
+    by_value = {}
+    for mode in sorted(brute_force_modes_upto(lam_max, box)):
+        by_value.setdefault(box.eigenvalue(ModeTriple(*mode)), []).append(mode)
+    groups, k = [], 1
+    for value in sorted(by_value):
+        groups.append((value, by_value[value], k))
+        k += len(by_value[value])
+    return groups
+
+
+@pytest.mark.parametrize(
+    "box, lam_max",
+    [(CUBE, 300), (BoxSpec(1, 1, 2), 60), (BoxSpec(1, 1.4142135623, 2.2360679774), 60)],
+    ids=["cube", "box-1-1-2", "box-irrational"],
+)
+def test_enumerate_groups_matches_a_brute_force_grouping(box, lam_max):
+    groups = enumerate_groups(box, lam_max)
+    modes = [m.as_tuple() for g in groups for m in g.modes]
+    assert sorted(modes) == sorted(brute_force_modes_upto(lam_max, box))
+    assert len(set(modes)) == len(modes)
+    assert [(g.value, [m.as_tuple() for m in g.modes], g.k_min) for g in groups] == (
+        brute_force_groups(box, lam_max)
+    )
+    assert [g.k_min for g in groups[1:]] == [g.k_max + 1 for g in groups[:-1]]
+    assert (groups[0].k_min, groups[-1].k_max) == (1, len(modes))
 
 
 def test_enumerate_rejects_non_finite_bound():

@@ -119,3 +119,27 @@ def test_symmetric_indices_skip_mixed_groups_but_count_their_modes():
     assert 10 not in indices
     assert (indices[12].parity, indices[12].j) == (Parity.EVEN, 3)
     assert indices[12] == symmetric_index(box, 12, Parity.EVEN)
+
+
+def test_symmetric_indices_match_a_brute_force_count_on_a_mixed_box():
+    # Box 1,1,2 has multiplicities above 1 and groups of both parities mixed.
+    box = BoxSpec(1, 1, 2)
+    groups = enumerate_groups(box, 60)
+    indices = symmetric_indices(groups)
+    modes = brute_force_modes_upto(60, box)
+    mixed = 0
+    for group in groups:
+        # A mode is even under the antipodal map iff l+m+n is odd.
+        odd_sums = {(l + m + n) % 2 for l, m, n in (t.as_tuple() for t in group.modes)}
+        if len(odd_sums) == 2:
+            mixed += 1
+            assert group.value not in indices
+            continue
+        (odd_sum,) = odd_sums
+        lower = [(l, m, n) for l, m, n in modes if box.eigenvalue(ModeTriple(l, m, n)) < group.value]
+        below = sum((l + m + n) % 2 == odd_sum for l, m, n in lower)
+        si = indices[group.value]
+        assert si.group == group
+        assert si.parity is (Parity.EVEN if odd_sum else Parity.ODD)
+        assert si.j == below + 1
+    assert mixed == 9 and len(indices) == len(groups) - mixed

@@ -155,15 +155,19 @@ class ScalarGrid:
         they are bitwise those returned without ``out``.
         """
         _, sy, sz = self.shape
-        factors = self.planes[:, start * sy : stop * sy].T
+        factors, zs = self.planes[:, start * sy : stop * sy].T, self.zs
         if out is not None:
             out = out[: factors.shape[0] * sz].reshape(-1, sz)
-        # One mode is an outer product.  numpy's matmul over an inner dimension
-        # of 1 took 1.1 to 1.9 times as long as np.multiply on 32^3 quotients;
-        # the values are the same, but perhaps the sign of an exact zero, which
-        # no mask reads.
-        product = np.multiply if len(self.planes) == 1 else np.matmul
-        return product(factors, self.zs, out=out).reshape(-1, sy, sz)
+        if len(zs) == 1:
+            # numpy runs one inner loop per line for a matmul over an inner
+            # dimension of 1, or for a broadcast np.multiply, but BLAS for one
+            # padded with a zero term: 10 against 29 us at a 32^3 quotient, 4
+            # against 8 at 16^3, and 0.7 us slower at 8^3.  The values are the
+            # same, but perhaps the sign of an exact zero, which no mask reads.
+            wide, tall = np.zeros((len(factors), 2)), np.zeros((2, sz))
+            wide[:, :1], tall[:1] = factors, zs
+            factors, zs = wide, tall
+        return np.matmul(factors, zs, out=out).reshape(-1, sy, sz)
 
     @property
     def values(self) -> np.ndarray:
@@ -205,6 +209,39 @@ def _sine_table(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=16)
+def _layout(modes: tuple[ModeTriple, ...], n: int, quotient: bool) -> tuple:
+    """The part of ``sample_field`` that its coefficients do not enter:
+    mirrors, inversion, shape and z-frequencies of a grid of the active
+    ``modes``, and the three (mode, index) factor tables, read-only, as every
+    grid of those modes shares them.
+
+    A sweep meets one set of modes at a few n, sample after sample, and the
+    default verdict meets 6 layouts in all.  A layout of a group up to
+    eigenvalue 48 at n <= 128 takes at most 22 KiB, so the 16 kept hold at
+    most 0.35 MiB.  A census round hits 168 times in 467 calls, against 170
+    with 64 kept: only its random combinations repeat their modes.
+    """
+    table = _sine_table(n)
+    # sin(f (pi - x)) = (-1)^(f+1) sin(f x): all-odd indices on an axis give +1,
+    # all-even -1.  At odd n no lattice plane lies on the mirror.
+    even = quotient and n % 2 == 0
+    parities = [{mode.as_tuple()[axis] % 2 for mode in modes} for axis in range(3)]
+    mirrors = tuple(2 * min(p) - 1 if even and len(p) == 1 else 0 for p in parities)
+    signs = {_g_sign(mode) for mode in modes}
+    inversion = signs.pop() if even and not any(mirrors) and len(signs) == 1 else 0
+    # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n),
+    # gathered for every active mode (row) at once.
+    halved = (mirrors[0] or inversion, *mirrors[1:])
+    ranges = [np.arange(1, n // 2 + 1 if h else n) for h in halved]
+    shape = tuple(len(r) for r in ranges)
+    freqs = np.array([mode.as_tuple() for mode in modes]).T
+    factors = tuple(table[np.multiply.outer(f, r) % (2 * n)] for f, r in zip(freqs, ranges))
+    for factor in factors:
+        factor.flags.writeable = False
+    return mirrors, inversion, shape, tuple(freqs[2].tolist()), factors
+
+
 def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGrid:
     """Sample the combination on the n-interior lattice (exact trig values).
 
@@ -216,31 +253,19 @@ def sample_field(combo: EigenCombo, n: int, quotient: bool = False) -> ScalarGri
     active modes share a parity is sampled only up to its mirror plane, or,
     with no such axis, x only up to i = n/2 if the active modes share a
     g-parity (see ``ScalarGrid``); the samples taken are those of the whole
-    grid.
+    grid.  All but the scaling of the x-factors and the planes comes from
+    ``_layout``, and the grid's ``zs`` is its read-only z-table.
     """
     if n < 8:
         raise ValueError(f"resolution must be at least 8, got {n}")
-    table = _sine_table(n)
     active = [
         (coeff, mode) for coeff, mode in zip(combo.coeffs, combo.group.modes) if coeff != 0.0
     ]
-    # sin(f (pi - x)) = (-1)^(f+1) sin(f x): all-odd indices on an axis give +1,
-    # all-even -1.  At odd n no lattice plane lies on the mirror.
-    even = quotient and n % 2 == 0
-    parities = [{mode.as_tuple()[axis] % 2 for _, mode in active} for axis in range(3)]
-    mirrors = tuple(2 * min(p) - 1 if even and len(p) == 1 else 0 for p in parities)
-    signs = {_g_sign(mode) for _, mode in active}
-    inversion = signs.pop() if even and not any(mirrors) and len(signs) == 1 else 0
-    # Lattice indices 1..size per axis; table[(freq * i) mod 2n] = sin(freq i pi / n),
-    # gathered for every active mode (row) at once.
-    halved = (mirrors[0] or inversion, *mirrors[1:])
-    ranges = [np.arange(1, n // 2 + 1 if h else n) for h in halved]
-    shape = tuple(len(r) for r in ranges)
-    freqs = np.array([mode.as_tuple() for _, mode in active]).T
-    sx, sy, sz = (table[np.multiply.outer(f, r) % (2 * n)] for f, r in zip(freqs, ranges))
-    sx *= np.array([coeff for coeff, _ in active])[:, None]
+    modes = tuple(mode for _, mode in active)
+    mirrors, inversion, shape, zfreqs, (sx, sy, sz) = _layout(modes, n, quotient)
+    sx = sx * np.array([coeff for coeff, _ in active])[:, None]
     planes = (sx[:, :, None] * sy[:, None, :]).reshape(len(active), -1)
-    return ScalarGrid(n, shape, planes, sz, mirrors, inversion, tuple(freqs[2].tolist()))
+    return ScalarGrid(n, shape, planes, sz, mirrors, inversion, zfreqs)
 
 
 def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,20 +274,22 @@ def _union(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     No Python loop runs over ids: each pair hooks the larger of its two roots
     to the smaller (``np.minimum.at``), then every id jumps to its label's
-    label until no label moves, so that each holds its root again.  Pairs
-    whose ends now share a root are dropped, and the rest go round again.
+    label as often as a chain through every id takes, so that each holds its
+    root again.  Pairs whose ends now share a root are dropped, and the rest
+    go round again.  The fixed jumps beat jumping until no label moves, which
+    pays a comparison a pass, on the few hundred ids of most counts: 4 against
+    8 us at 8^3, 8 against 16 us on eigenvalue 11 at 256.  On the thousands
+    of ids of a high eigenvalue's sampled grid at 64 to 256 they take 15-55%
+    longer.
     """
     labels = np.arange(count)
     while a.size:
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels.take(labels)
-            if not np.count_nonzero(jumped != labels):
-                break
-            labels = jumped
-        a, b = labels.take(a), labels.take(b)
-        apart = (a != b).nonzero()[0]
-        a, b = a.take(apart), b.take(apart)
+        for _ in range(count.bit_length()):
+            labels = labels[labels]
+        a, b = labels[a], labels[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
     return labels
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import count
 
 __all__ = [
     "ModeTriple",
@@ -109,14 +110,6 @@ class EigenvalueGroup:
         return tuple(sorted({tuple(sorted(m.as_tuple())) for m in self.modes}))
 
 
-def _axis_limit(weight: float, rest: float, lambda_max: float) -> int:
-    """Largest index q >= 0 with weight*q^2 + rest <= lambda_max."""
-    q = int(math.sqrt(max(lambda_max - rest, 0.0) / weight)) + 2
-    while q > 0 and weight * q * q + rest > lambda_max:
-        q -= 1
-    return q
-
-
 def enumerate_groups(box: BoxSpec, lambda_max: float) -> list[EigenvalueGroup]:
     """All eigenvalue groups with value <= lambda_max, sorted ascending.
 
@@ -127,11 +120,21 @@ def enumerate_groups(box: BoxSpec, lambda_max: float) -> list[EigenvalueGroup]:
         raise ValueError("lambda_max must be finite")
     a, b, g = box._exact_weights()
     # The loops run in lexicographic order, so each bucket is born sorted.
+    # Each ends at its first value above lambda_max, as rounded by
+    # _eigenvalue, which grows with every index also in floating point; a
+    # loop that ends at its first index ends the loop around it too.
     buckets: dict[float, list[ModeTriple]] = {}
-    for l in range(1, _axis_limit(a, b + g, lambda_max) + 1):
-        for m in range(1, _axis_limit(b, a * l * l + g, lambda_max) + 1):
-            for n in range(1, _axis_limit(g, a * l * l + b * m * m, lambda_max) + 1):
-                buckets.setdefault(_eigenvalue(a, b, g, l, m, n), []).append(ModeTriple(l, m, n))
+    for l in count(1):
+        for m in count(1):
+            for n in count(1):
+                value = _eigenvalue(a, b, g, l, m, n)
+                if value > lambda_max:
+                    break
+                buckets.setdefault(value, []).append(ModeTriple(l, m, n))
+            if n == 1:
+                break
+        if m == 1:
+            break
     groups: list[EigenvalueGroup] = []
     k = 1
     for value in sorted(buckets):

@@ -348,6 +348,39 @@ def test_out_writes_file(tmp_path):
     assert target.read_text() == GOLDEN.read_text()
 
 
+def test_main_in_one_process_prints_what_fresh_processes_print(tmp_path, capsys):
+    # The parser is built once per process, so no call may leave anything in
+    # it for the next: not a --mode list (action="append"), not an --out
+    # path, not the state of a usage error.
+    nodal = ["nodal", "--mode", "1,1,1", "--coeffs", "1", "--resolution", "16"]
+    bad = ["nodal", "--mode", "1,1", "--coeffs", "1"]
+    target = tmp_path / "report.md"
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        result = run_cli(argv)
+        return result.returncode, result.stdout, result.stderr
+
+    first = in_process(nodal)
+    assert first[0] == 0 and first == fresh(nodal)
+    failed = in_process(bad)
+    assert failed[0] == 1 and failed == fresh(bad)
+    assert in_process(nodal) == first
+    assert in_process(["table", "--out", str(target)]) == (0, "", "")
+    assert target.read_text() == GOLDEN.read_text()
+    target.unlink()
+    assert in_process(["table"]) == (0, GOLDEN.read_text(), "")
+    assert not target.exists()
+    assert in_process(nodal) == first
+
+
 def test_verdict_small_run(capsys):
     code, out = run_main(
         ["verdict", "--samples", "25", "--resolution", "48", "--seed", "2"],

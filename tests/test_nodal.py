@@ -289,6 +289,28 @@ QUOTIENT_CASES = {
 }
 
 
+# SHA-256 of the NodalCount reprs of count_nodal_domains(c, 32, 128), in
+# turn, over every product mode of the cube up to eigenvalue 48 and then three
+# random_combos of each of its groups, seeded by the group's value, as they
+# were when first pinned.  The census benchmark counts combinations of both
+# kinds at the same resolutions.
+CENSUS_DIGEST = "e8a745df26a845d6a8d3f958bf67f2f0fc1850a4bcf0e4dd3181c0c73ec88c75"
+
+
+def test_census_counts_match_their_pinned_digest():
+    groups = enumerate_groups(CUBE, 48)
+    combos = [
+        EigenCombo(g, tuple(float(m == mode) for m in g.modes)) for g in groups for mode in g.modes
+    ]
+    for group in groups:
+        combos += random_combos(group.value, 3, group.value)
+    digest = hashlib.sha256()
+    for combo in combos:
+        digest.update(repr(count_nodal_domains(combo, 32, 128)).encode())
+    assert len(combos) == 205
+    assert digest.hexdigest() == CENSUS_DIGEST
+
+
 @pytest.mark.parametrize("case", list(QUOTIENT_CASES))
 def test_quotient_count_matches_full_grid(case):
     combos, n0, cap, mirrors, inversion = QUOTIENT_CASES[case]
@@ -363,9 +385,9 @@ def test_rows_into_a_buffer_are_bitwise_the_same():
 
 @pytest.mark.parametrize("n", [16, 17, 64])
 def test_rows_of_one_mode_are_the_matmuls_values(n):
-    # One mode's samples are an outer product (np.multiply), not a matmul
-    # over an inner dimension of 1.  The values must be equal, and so must
-    # both masks; only the sign of an exact zero may differ.
+    # One mode's samples are a matmul padded with a zero term, not one over
+    # an inner dimension of 1.  The values must be equal, and so must both
+    # masks; only the sign of an exact zero may differ.
     for mode in ((1, 1, 1), (2, 1, 3), (2, 2, 2), (3, 4, 1)):
         for quotient in (False, True):
             grid = sample_field(pure_combo(*mode), n, quotient)
@@ -405,16 +427,29 @@ def per_mode_factors(combo, grid):
 @pytest.mark.parametrize("case", list(QUOTIENT_CASES))
 def test_sample_field_factors_are_bitwise_per_mode(case):
     # Every symmetry class: whole grids with mixed parities, mirror quotients
-    # and antipodal quotients.
+    # and antipodal quotients.  Each grid is sampled twice, after the others,
+    # so that the second takes the layout that the first left in the cache.
     combos, n0, _, _, _ = QUOTIENT_CASES[case]
-    for combo in combos:
-        for n in (n0, 2 * n0):
-            for quotient in (False, True):
-                grid = sample_field(combo, n, quotient)
-                planes, zs = per_mode_factors(combo, grid)
-                assert grid.planes.shape == planes.shape and grid.zs.shape == zs.shape
-                assert grid.planes.tobytes() == planes.tobytes(), (n, quotient)
-                assert grid.zs.tobytes() == zs.tobytes(), (n, quotient)
+    cases = [(c, n, q) for c in combos for n in (n0, 2 * n0) for q in (False, True)]
+    for combo, n, quotient in cases * 2:
+        grid = sample_field(combo, n, quotient)
+        planes, zs = per_mode_factors(combo, grid)
+        assert grid.planes.shape == planes.shape and grid.zs.shape == zs.shape
+        assert grid.planes.tobytes() == planes.tobytes(), (n, quotient)
+        assert grid.zs.tobytes() == zs.tobytes(), (n, quotient)
+
+
+def test_cached_layouts_are_read_only():
+    combo = lambda11_combo(0.3, -0.5, 0.8)
+    grid = sample_field(combo, 32, quotient=True)
+    layout = nodal._layout(combo.group.modes, 32, True)
+    assert nodal._layout(combo.group.modes, 32, True) is layout
+    assert grid.zs is layout[-1][2]
+    for factor in layout[-1]:
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
+    # The grid's own planes are its coefficients' and stay writable.
+    assert grid.planes.flags.writeable
 
 
 def planted_slab(rng, shape, lo, hi):

@@ -136,7 +136,9 @@ def dense_counting_function(box, lam):
     top = math.isqrt(int(lam / min(a, b, g))) + 1  # every index of a mode below lam
     mv = b * np.arange(1, top + 1, dtype=float) ** 2
     nv = g * np.arange(1, top + 1, dtype=float) ** 2
-    return sum(int(((a * l * l + mv[:, None]) + nv[None, :] < lam).sum()) for l in range(1, top + 1))
+    return sum(
+        int(((a * l * l + mv[:, None]) + nv[None, :] < lam).sum()) for l in range(1, top + 1)
+    )
 
 
 def test_counting_function_matches_the_dense_formula():
